@@ -27,10 +27,12 @@ produces the same keys independently.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from ..errors import (
     DeploymentError,
+    FieldTypeError,
     TimeRegressionError,
     UnknownStreamError,
 )
@@ -82,6 +84,25 @@ def _literal_preds_pass(literal_preds, fields) -> bool:
     return True
 
 
+# Python types of a key value per declared field type. Within one class an
+# ``=`` comparison can neither raise nor disagree with tuple equality, which is
+# what lets a dict lookup stand in for ``compare_values``.
+_KEY_TYPES = {
+    "integer": (int, float),
+    "number": (int, float),
+    "string": (str,),
+    "boolean": (bool,),
+}
+
+
+def _keyable(values, types) -> bool:
+    # ``v == v`` rejects NaN, which compares unequal even to itself
+    for value, allowed in zip(values, types):
+        if type(value) not in allowed or value != value:
+            return False
+    return True
+
+
 class _Deployed:
     """One deployed pattern plus its runtime state."""
 
@@ -89,7 +110,9 @@ class _Deployed:
     BATCH = "batch"
     CONJUNCTION = "conjunction"
 
-    def __init__(self, pattern: PatternDef, topo: int, start_ms: int, now_ms: int):
+    def __init__(
+        self, pattern: PatternDef, registry: SchemaRegistry, topo: int, start_ms: int, now_ms: int
+    ):
         self.pattern = pattern
         self.topo = topo
         self.name = pattern.name
@@ -113,11 +136,34 @@ class _Deployed:
         self.group_fields = [path.field for path in pattern.group_by]
         # batch state: group key -> [non-null count, last event fields]
         self.groups: dict = {}
-        # conjunction state
-        self.partials: list[dict] = []
+        # conjunction state: live partial matches by creation sequence number,
+        # oldest first, and the equality index over them (see ``place``)
+        self.partials: dict[int, dict] = {}
+        self.partial_seq = 0
         self.emitted_keys: set = set()
-        # alias -> slot index, and per-slot extend order
-        self.alias_index = {b.alias: i for i, b in enumerate(self.bindings)}
+        self.slots_of: dict[str, list[int]] = {}
+        for slot, binding in enumerate(self.bindings):
+            self.slots_of.setdefault(binding.stream, []).append(slot)
+        # Slot s of a partial is indexed under ``key_refs[s]`` values once every
+        # alias it references is bound; events look it up by ``key_fields[s]``.
+        self.keyed = all(op == "=" for _, cross in self.compiled for _, op, _, _ in cross)
+        self.key_fields = [[c[0] for c in cross] for _, cross in self.compiled]
+        self.key_refs = [[(c[2], c[3]) for c in cross] for _, cross in self.compiled]
+        self.waits_on = [frozenset(alias for alias, _ in refs) for refs in self.key_refs]
+        self.key_types = []
+        # alias -> (fields other slots compare against, their key types)
+        self.referenced: dict[str, tuple[list, list]] = {b.alias: ([], []) for b in self.bindings}
+        for binding, (_, cross) in zip(self.bindings, self.compiled):
+            schema = registry.get(binding.stream)
+            types = [_KEY_TYPES[schema.fields[fname]] for fname, _, _, _ in cross]
+            self.key_types.append(types)
+            for (_, _, ref_alias, ref_field), allowed in zip(cross, types):
+                self.referenced[ref_alias][0].append(ref_field)
+                self.referenced[ref_alias][1].append(allowed)
+        self.index: list[dict[tuple, list[int]]] = [{} for _ in self.bindings]
+        # live partials holding a referenced value the index cannot stand for
+        # (null, or a type outside its key class); while any lives, events scan
+        self.unkeyed: set[int] = set()
 
     # -- select realization ------------------------------------------------
 
@@ -181,6 +227,126 @@ class _Deployed:
                     key.append(match[binding.alias].fields[fname])
         return tuple(key)
 
+    def place(self, event: Event) -> dict | None:
+        """Extend the oldest compatible partial match with ``event``, else open
+        a new one; returns the match if that completed it.
+
+        A slot is compatible when its stream, literal and cross predicates hold;
+        among compatible (partial, slot) pairs the oldest partial wins, then the
+        first slot. For all-``=`` patterns the pair is found through the index;
+        :meth:`_find_by_scan` is the general rule and decides whenever a
+        predicate could raise instead of evaluating to false.
+        """
+        found = None
+        if self.keyed and not self.unkeyed:
+            found = self._find_by_key(event)
+        if found is None:
+            found = self._find_by_scan(event)
+        seq, slot = found
+        if slot is None:
+            return None
+        alias = self.bindings[slot].alias
+        if seq is None:
+            seq = self.partial_seq
+            self.partial_seq += 1
+            match = self.partials[seq] = {alias: event}
+        else:
+            match = self.partials[seq]
+            match[alias] = event
+            if self.keyed:
+                self._unindex_head(slot, seq, match)
+            if len(match) == len(self.bindings):
+                del self.partials[seq]
+                self.unkeyed.discard(seq)
+                return match
+        if self.keyed:
+            self._index_ready(seq, match, alias, event)
+        return None
+
+    def reset_partials(self) -> None:
+        self.partials = {}
+        self.index = [{} for _ in self.bindings]
+        self.unkeyed = set()
+        self.emitted_keys = set()
+
+    def _find_by_scan(self, event: Event) -> tuple:
+        for seq, match in self.partials.items():
+            for slot in range(len(self.bindings)):
+                if self._slot_eligible(slot, event, match):
+                    return seq, slot
+        for slot in range(len(self.bindings)):
+            if self._slot_eligible(slot, event, {}):
+                return None, slot
+        return None, None
+
+    def _find_by_key(self, event: Event) -> tuple | None:
+        """The scan's answer from the index, or None when only the scan can
+        give it: a literal predicate raises, or a key value is not keyable."""
+        best = None
+        open_slot = None
+        fields = event.fields
+        for slot in self.slots_of.get(event.stream, ()):
+            literal, cross = self.compiled[slot]
+            try:
+                if not _literal_preds_pass(literal, fields):
+                    continue
+                key = tuple([fields[f] for f in self.key_fields[slot]])
+            except (FieldTypeError, KeyError):
+                return None
+            if not cross and open_slot is None:
+                open_slot = slot
+            if not _keyable(key, self.key_types[slot]):
+                return None
+            seq = self._live_head(slot, key)
+            if seq is not None and (best is None or seq < best[0]):
+                best = (seq, slot)
+        return best if best is not None else (None, open_slot)
+
+    def _live_head(self, slot: int, key: tuple) -> int | None:
+        bucket = self.index[slot]
+        heap = bucket.get(key)
+        if heap is None:
+            return None
+        alias = self.bindings[slot].alias
+        partials = self.partials
+        while heap:
+            match = partials.get(heap[0])
+            if match is not None and alias not in match:
+                return heap[0]
+            heapq.heappop(heap)
+        del bucket[key]
+        return None
+
+    def _slot_key(self, slot: int, match: dict) -> tuple:
+        return tuple([match[alias].fields[f] for alias, f in self.key_refs[slot]])
+
+    def _unindex_head(self, slot: int, seq: int, match: dict) -> None:
+        # A slot filled through the index was its bucket's head; one filled by
+        # the scan may sit deeper and is dropped lazily by ``_live_head``.
+        bucket = self.index[slot]
+        key = self._slot_key(slot, match)
+        heap = bucket.get(key)
+        if heap and heap[0] == seq:
+            heapq.heappop(heap)
+            if not heap:
+                del bucket[key]
+
+    def _index_ready(self, seq: int, match: dict, alias: str, event: Event) -> None:
+        """Index the slots of ``match`` that binding ``alias`` made ready."""
+        if seq in self.unkeyed:
+            return
+        ref_fields, types = self.referenced[alias]
+        # a missing field reads as null, so the scan raises as it always has
+        if not _keyable([event.fields.get(f) for f in ref_fields], types):
+            self.unkeyed.add(seq)
+            return
+        opened = len(match) == 1
+        for slot, waits_on in enumerate(self.waits_on):
+            just_ready = alias in waits_on if waits_on else opened
+            if just_ready and self.bindings[slot].alias not in match and waits_on <= match.keys():
+                key = self._slot_key(slot, match)
+                heapq.heappush(self.index[slot].setdefault(key, []), seq)
+
 
 class Engine:
     """Pattern host for one fog or cloud node."""
@@ -219,6 +385,20 @@ class Engine:
         values = [d.next_boundary for d in self._deployed if d.next_boundary is not None]
         return min(values, default=None)
 
+    def state_sizes(self) -> dict[str, dict[str, int]]:
+        """Per pattern: live partial matches, indexed (slot, key) buckets, batch
+        groups and suppressed correlation keys. A windowed pattern's sizes
+        drop to zero at each of its boundaries."""
+        return {
+            d.name: {
+                "partials": len(d.partials),
+                "indexed_keys": sum(len(bucket) for bucket in d.index),
+                "groups": len(d.groups),
+                "emitted_keys": len(d.emitted_keys),
+            }
+            for d in self._deployed
+        }
+
     # -- deployment ---------------------------------------------------------
 
     def deploy(self, pattern: PatternDef) -> None:
@@ -231,7 +411,11 @@ class Engine:
         register_output_schema(pattern, self.registry)
         check_predicate_types(pattern, self.registry)
         deployed = _Deployed(
-            pattern, topo=len(self._deployed), start_ms=self.start_ms, now_ms=self.clock.current
+            pattern,
+            self.registry,
+            topo=len(self._deployed),
+            start_ms=self.start_ms,
+            now_ms=self.clock.current,
         )
         self._deployed.append(deployed)
         self._by_name[pattern.name] = deployed
@@ -328,10 +512,9 @@ class Engine:
                     self._emit(d, fields, t, phase=0, minor=0, out=out, inboxes=inboxes)
                 d.groups = {}
             elif d.kind == _Deployed.CONJUNCTION:
-                # Window rollover: open partial matches and the duplicate
-                # suppression set die with the batch.
-                d.partials = []
-                d.emitted_keys = set()
+                # Window rollover: open partial matches, their index and the
+                # duplicate suppression set die with the batch.
+                d.reset_partials()
         self._sweep(inboxes, t, 0, out)
 
     # -- cascade ---------------------------------------------------------------
@@ -366,23 +549,9 @@ class Engine:
                 entry[0] += counted
                 entry[1] = event.fields
             return
-        # conjunction: extend the oldest compatible partial, else open a new one
-        for match in d.partials:
-            for slot in range(len(d.bindings)):
-                if d._slot_eligible(slot, event, match):
-                    match[d.bindings[slot].alias] = event
-                    if len(match) == len(d.bindings):
-                        d.partials.remove(match)
-                        self._complete_match(d, match, t, phase, out, inboxes)
-                    return
-        for slot in range(len(d.bindings)):
-            if d._slot_eligible(slot, event, {}):
-                match = {d.bindings[slot].alias: event}
-                if len(match) == len(d.bindings):
-                    self._complete_match(d, match, t, phase, out, inboxes)
-                else:
-                    d.partials.append(match)
-                return
+        match = d.place(event)
+        if match is not None:
+            self._complete_match(d, match, t, phase, out, inboxes)
 
     def _complete_match(self, d: _Deployed, match: dict, t: int, phase: int, out, inboxes) -> None:
         if d.window_ms:

@@ -537,14 +537,12 @@ def _run_processing(config: ScenarioConfig, run: RunDefaults, rate_override) -> 
             deployment.pump_edges()
 
     def cpu_sampler():
-        try:
-            import psutil
-        except ImportError:  # pragma: no cover - psutil is a hard dependency
-            return
-        process = psutil.Process()
-        process.cpu_percent(None)
+        # process CPU time (all threads) over wall time, in percent of one core
+        last_wall, last_cpu = time.monotonic(), time.process_time()
         while not stop.wait(0.5):
-            cpu_samples.append((clock(), "all", process.cpu_percent(None)))
+            wall, cpu = time.monotonic(), time.process_time()
+            cpu_samples.append((clock(), "all", 100.0 * (cpu - last_cpu) / (wall - last_wall)))
+            last_wall, last_cpu = wall, cpu
 
     def saturation_watch():
         over_since = None
@@ -566,7 +564,9 @@ def _run_processing(config: ScenarioConfig, run: RunDefaults, rate_override) -> 
         for offset_ms in schedule:
             if stop.is_set() or saturated.is_set():
                 return
-            delay = (offset_ms - clock()) / 1000.0
+            # from the exact run start: ``clock()`` truncates to whole ms,
+            # which would leave every send up to 1 ms late
+            delay = start + offset_ms / 1000.0 - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
             fields = factory.next_fields()

@@ -180,6 +180,15 @@ class TestBenchRuns:
         assert rows[0] == rows[1]
         assert reports[0].emissions == reports[1].emissions
 
+    def test_cpu_samples_written(self, bench, tmp_path):
+        report = self.run_bench(bench, duration_s=1)
+        assert report.summary()["cpu_sample_count"] >= 1
+        out = report.write(tmp_path / "out")
+        header, *rows = (out / "cpu.csv").read_text().splitlines()
+        assert header == "t_ms,node_id,cpu_pct"
+        assert rows and all(row.split(",")[1] == "all" for row in rows)
+        assert all(float(row.split(",")[2]) >= 0 for row in rows)
+
     def test_saturation_flag(self, bench, monkeypatch):
         monkeypatch.setattr(runner_mod, "SATURATION_HIGH_WATER", -1)
         monkeypatch.setattr(runner_mod, "SATURATION_HOLD_S", 0.0)
