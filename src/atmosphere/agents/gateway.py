@@ -32,11 +32,16 @@ UNDELIVERABLE_STREAM = "Undeliverable"
 
 
 class GatewayRegistry:
-    """Agent membership plus per-agent FIFO queues."""
+    """Agent membership plus per-agent FIFO queues.
+
+    ``ready`` holds, in the order they got one, the ids of the agents whose
+    queue got a message since it was last flushed.
+    """
 
     def __init__(self):
         self.queues: dict[str, deque] = {}
         self.services: dict[str, Callable[[AclMessage], list[AclMessage]]] = {}
+        self.ready: dict[str, None] = {}
 
     def register_agent(self, agent_id: str) -> None:
         if agent_id not in self.queues:
@@ -44,9 +49,6 @@ class GatewayRegistry:
 
     def register_service(self, service_id: str, handler) -> None:
         self.services[service_id] = handler
-
-    def is_known(self, receiver: str) -> bool:
-        return receiver in self.queues or receiver in self.services
 
     def dispatch(self, message: AclMessage) -> list[AclMessage]:
         """Enqueue FIFO to each receiver; returns service replies.
@@ -62,10 +64,12 @@ class GatewayRegistry:
             for agent_id, queue in self.queues.items():
                 if agent_id != message.sender:
                     queue.append(message)
+                    self.ready[agent_id] = None
             return replies
         for receiver in message.receivers:
             if receiver in self.queues:
                 self.queues[receiver].append(message)
+                self.ready[receiver] = None
             elif receiver in self.services:
                 try:
                     replies.extend(self.services[receiver](message) or [])
@@ -81,9 +85,11 @@ class GatewayRegistry:
                         sent_at=message.sent_at,
                     )
                 )
+                self.ready[message.sender] = None
         return replies
 
     def drain(self, agent_id: str) -> list[AclMessage]:
+        self.ready.pop(agent_id, None)
         queue = self.queues.get(agent_id)
         if not queue:
             return []
@@ -151,19 +157,21 @@ class GatewayServer:
             for receiver in receivers:
                 if receiver in self.registry.queues:
                     self.registry.queues[receiver].append(message)
+                    self.registry.ready[receiver] = None
             self._flush()
 
     def _flush(self) -> None:
-        for agent_id, queue in self.registry.queues.items():
-            if not queue:
-                continue
+        ready = self.registry.ready
+        for agent_id in list(ready):
             channel = self._agent_channel.get(agent_id)
             if channel is None:
                 continue  # stays queued until the agent's channel registers
+            queue = self.registry.queues[agent_id]
             while queue:
                 message = queue.popleft()
                 self.counters["acl_out"] += 1
                 channel.endpoint.send(encode_acl(_addressed(message, agent_id)))
+            ready.pop(agent_id, None)
 
 
 def _addressed(message: AclMessage, receiver: str) -> AclMessage:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import FieldTypeError, PayloadError, SchemaError, UnknownStreamError
 
@@ -28,21 +27,6 @@ FIELD_TYPES = ("number", "integer", "string", "boolean")
 MAX_SAFE_INT = 2**53
 
 RESERVED_KEYS = ("_stream", "_ts", "_src")
-
-
-class NodeRole(str, Enum):
-    EDGE = "edge"
-    FOG = "fog"
-    CLOUD = "cloud"
-    USER = "user"
-
-
-@dataclass(frozen=True)
-class NodeId:
-    """Identity of a node in the topology; ids are unique per scenario."""
-
-    id: str
-    role: NodeRole
 
 
 @dataclass(frozen=True, eq=True)

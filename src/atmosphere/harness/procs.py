@@ -198,7 +198,8 @@ def _edge_main(config: ScenarioConfig, run: RunDefaults, edge_id: str, ports, ra
         for offset_ms in emission_times_ms(rate, run.duration_s):
             if stop.is_set():
                 return
-            delay = (offset_ms - clock()) / 1000.0
+            # from the exact start: ``clock()`` truncates to whole ms
+            delay = start + offset_ms / 1000.0 - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
             fields = factory.next_fields()

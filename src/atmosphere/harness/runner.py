@@ -246,9 +246,14 @@ class Deployment:
             self.pump_edges()
 
     def pump_edges(self) -> int:
+        """Pump flagged edges, in order, until a pass moves nothing.
+
+        An edge without ``has_work`` has empty mailboxes, so skipping it
+        leaves the processing order unchanged.
+        """
         total = 0
         while True:
-            moved = sum(edge.pump() for edge in self.edges.values())
+            moved = sum(edge.pump() for edge in self.edges.values() if edge.has_work)
             if moved == 0:
                 return total
             total += moved

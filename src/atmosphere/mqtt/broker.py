@@ -9,6 +9,9 @@ which bypass the wire entirely and therefore never appear in packet counters.
 Delivery ordering: per-connection FIFO holds for QoS 0; QoS 1 re-deliveries
 (dup re-sends after a timeout) may arrive out of order relative to newer
 publishes.
+
+Routes are cached per topic and emptied on every change that can alter a
+match: attach, CONNECT, SUBSCRIBE, internal subscribe and drop.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_RETRY_TIMEOUT_MS = 1000
 DEFAULT_MAX_RETRIES = 5
+# Most topics the route cache holds; a miss that would exceed it empties it.
+ROUTE_CACHE_SIZE = 1024
 
 
 def wall_clock_ms() -> int:
@@ -65,7 +70,6 @@ class Session:
     connected: bool = False
     subscriptions: list = field(default_factory=list)  # of (topic_filter, qos)
     inflight: dict = field(default_factory=dict)  # packet_id -> InflightEntry
-    seen_pub_ids: set = field(default_factory=set)  # incoming qos1 dedupe
     next_packet_id: int = 1
     buffer: bytearray = field(default_factory=bytearray)
 
@@ -127,6 +131,9 @@ class Broker:
         self._lock = threading.RLock()
         self._sessions: list[Session] = []
         self._internal_subs: list[tuple[str, Callable[[str, bytes], None]]] = []
+        # topic -> (internal callbacks, ((session, max granted qos), ...)),
+        # filled by ``_route`` and emptied on any change that can alter a match
+        self._routes: dict[str, tuple[tuple, tuple]] = {}
         # Internal deliveries run outside the core lock (a callback may want
         # to publish back into the broker from another thread).
         self._internal_pending: deque = deque()
@@ -144,12 +151,14 @@ class Broker:
         endpoint.on_close = lambda: self._on_endpoint_closed(session)
         with self._lock:
             self._sessions.append(session)
+            self._routes.clear()
         return session
 
     def subscribe_internal(self, topic_filter: str, callback: Callable[[str, bytes], None]) -> None:
         """Node-local subscription; deliveries are direct calls, not packets."""
         with self._lock:
             self._internal_subs.append((topic_filter, callback))
+            self._routes.clear()
 
     def publish_internal(self, topic: str, payload: bytes, qos: int = 0) -> None:
         """Node-local publish injected into the routing core."""
@@ -194,6 +203,7 @@ class Broker:
                     self._drop(other)
             session.client_id = packet.client_id
             session.connected = True
+            self._routes.clear()
             self._send(session, ConnAck(return_code=0))
             return
         if not session.connected:
@@ -214,6 +224,7 @@ class Broker:
                 ]
                 session.subscriptions.append((topic_filter, qos))
                 granted.append(qos)
+            self._routes.clear()
             self._send(session, SubAck(packet_id=packet.packet_id, granted=tuple(granted)))
         elif isinstance(packet, PingReq):
             self._send(session, PingResp())
@@ -226,31 +237,22 @@ class Broker:
     def handle_publish(self, session: Session, publish: Publish) -> None:
         """Ack (QoS 1) and forward to every matching subscriber.
 
-        A QoS 1 re-delivery (dup set, id already seen) is re-acked but
-        forwarded only once.
+        Every PUBLISH is a new publication, a ``dup`` re-send included: once
+        acked, its packet id may be reused (MQTT 3.1.1 section 4.3.2).
         """
         if publish.qos == 1:
-            duplicate = publish.dup and publish.packet_id in session.seen_pub_ids
-            session.seen_pub_ids.add(publish.packet_id)
             self._send(session, PubAck(packet_id=publish.packet_id))
-            if duplicate:
-                return
         self._route(publish, ack_session=session)
 
     def _route(self, publish: Publish, ack_session: Session | None) -> None:
-        for topic_filter, callback in self._internal_subs:
-            if match_topic(topic_filter, publish.topic):
-                self._internal_pending.append((callback, publish.topic, publish.payload))
-        for subscriber in self._sessions:
-            if not subscriber.connected:
-                continue
-            granted = [
-                qos for f, qos in subscriber.subscriptions if match_topic(f, publish.topic)
-            ]
-            if not granted:
-                continue
-            # One copy per client even when several filters match.
-            qos = min(publish.qos, max(granted))
+        route = self._routes.get(publish.topic)
+        if route is None:
+            route = self._match(publish.topic)
+        callbacks, subscribers = route
+        for callback in callbacks:
+            self._internal_pending.append((callback, publish.topic, publish.payload))
+        for subscriber, granted in subscribers:
+            qos = min(publish.qos, granted)
             if qos == 0:
                 self._send(
                     subscriber,
@@ -284,6 +286,26 @@ class Broker:
                     self._send(session, publish)
 
     # -- internals -------------------------------------------------------
+
+    def _match(self, topic: str) -> tuple[tuple, tuple]:
+        """Compute and cache the internal callbacks and the connected
+        sessions, each with its highest granted QoS, that ``topic`` reaches."""
+        callbacks = tuple(
+            callback for topic_filter, callback in self._internal_subs
+            if match_topic(topic_filter, topic)
+        )
+        subscribers = []
+        for session in self._sessions:
+            if not session.connected:
+                continue
+            granted = [qos for f, qos in session.subscriptions if match_topic(f, topic)]
+            if granted:
+                # One copy per client even when several filters match.
+                subscribers.append((session, max(granted)))
+        if len(self._routes) >= ROUTE_CACHE_SIZE:
+            self._routes.clear()
+        route = self._routes[topic] = (callbacks, tuple(subscribers))
+        return route
 
     def _drain_internal(self) -> None:
         """Deliver queued internal subscriptions outside the core lock.
@@ -323,10 +345,12 @@ class Broker:
         with self._lock:
             if session in self._sessions:
                 self._sessions.remove(session)
+            self._routes.clear()
 
     def _drop(self, session: Session) -> None:
         if session in self._sessions:
             self._sessions.remove(session)
+        self._routes.clear()
         if session.endpoint is not None:
             session.endpoint.close()
 

@@ -26,7 +26,6 @@ from .packets import (
     Connect,
     Disconnect,
     MAX_PACKET_ID,
-    PingReq,
     PubAck,
     Publish,
     SubAck,
@@ -57,7 +56,6 @@ class MqttClient:
         self._pending_subacks: dict[int, threading.Event] = {}
         self._next_packet_id = 1
         self.inflight: dict[int, InflightEntry] = {}
-        self._seen_incoming: set[int] = set()
         self.on_message: Callable[[str, bytes], None] | None = None
         self.counters = {
             "publish_sent": 0,
@@ -101,9 +99,6 @@ class MqttClient:
             self.counters["publish_sent"] += 1
             self._send(publish)
             return pid
-
-    def ping(self) -> None:
-        self._send(PingReq())
 
     def tick(self, now_ms: int | None = None) -> None:
         """Re-send unacked QoS 1 publishes past the retry timeout."""
@@ -175,13 +170,11 @@ class MqttClient:
             self.inflight.pop(packet.packet_id, None)
         elif isinstance(packet, Publish):
             self.counters["publish_received"] += 1
-            duplicate = False
+            # a re-send is a new publication once acked (MQTT 3.1.1 4.3.2)
             if packet.qos == 1:
-                duplicate = packet.dup and packet.packet_id in self._seen_incoming
-                self._seen_incoming.add(packet.packet_id)
                 self.counters["puback_sent"] += 1
                 self._send(PubAck(packet_id=packet.packet_id))
-            if not duplicate and self.on_message is not None:
+            if self.on_message is not None:
                 self.on_message(packet.topic, packet.payload)
 
     def _allocate_packet_id(self) -> int:

@@ -67,6 +67,11 @@ class EdgeNode:
         self.on_acl = None  # hook: AclMessage received from the gateway
         self._timer_next: dict[tuple[str, str], int] = {}
         self._timer_count: dict[tuple[str, str], int] = {}
+        self._consumers = self._index_consumers()
+        # Set after every mailbox append, cleared when ``pump`` starts, so a
+        # driver can skip edges with nothing to do. An append racing the
+        # clear leaves the flag set, and the next pump finds nothing.
+        self.has_work = False
 
     # -- attachments -----------------------------------------------------------
 
@@ -105,15 +110,18 @@ class EdgeNode:
             return
         if self.on_event is not None:
             self.on_event(topic, event)
+        consumers = self._consumers.get(event.stream, ())
         stimulus = AclMessage(
             performative="INFORM",
             sender=event.source,
-            receivers=self._consumers_of(event.stream) or (self.node_id,),
+            receivers=consumers or (self.node_id,),
             content={"stream": event.stream, "fields": event.fields},
             sent_at=event.timestamp,
         )
-        for agent_id in self._consumers_of(event.stream):
+        for agent_id in consumers:
             self.mailboxes[agent_id].append(stimulus)
+        if consumers:
+            self.has_work = True
 
     def _on_user_payload(self, payload: bytes) -> None:
         try:
@@ -126,6 +134,7 @@ class EdgeNode:
         rule_doc = doc.get("rule")
         if agent_id in self.agents and isinstance(rule_doc, dict):
             self.mailboxes[agent_id].append(_RuleUpdate(agent_id, rule_doc))
+            self.has_work = True
 
     def _on_gateway_message(self, message: AclMessage) -> None:
         if self.on_acl is not None:
@@ -135,6 +144,7 @@ class EdgeNode:
             rule_doc = message.content.get("rule")
             if agent_id in self.agents and isinstance(rule_doc, dict):
                 self.mailboxes[agent_id].append(_RuleUpdate(agent_id, rule_doc))
+                self.has_work = True
             return
         receivers = (
             list(self.agents)
@@ -143,18 +153,26 @@ class EdgeNode:
         )
         for agent_id in receivers:
             self.mailboxes[agent_id].append(message)
+        if receivers:
+            self.has_work = True
 
     def inject_sensor(self, agent_id: str, sensor: str, value, at: int) -> None:
         self.mailboxes[agent_id].append(SensorSample(sensor, value, at))
+        self.has_work = True
 
-    def _consumers_of(self, stream: str) -> tuple:
-        out = []
+    def _index_consumers(self) -> dict[str, tuple]:
+        """Stream -> ids of the agents with a message rule on it, in
+        declaration order."""
+        out: dict[str, list] = {}
         for agent in self.agents.values():
-            for rule in agent.rules:
-                if isinstance(rule.trigger, MessageTrigger) and rule.trigger.stream == stream:
-                    out.append(agent.id)
-                    break
-        return tuple(out)
+            streams = {
+                rule.trigger.stream
+                for rule in agent.rules
+                if isinstance(rule.trigger, MessageTrigger)
+            }
+            for stream in streams:
+                out.setdefault(stream, []).append(agent.id)
+        return {stream: tuple(ids) for stream, ids in out.items()}
 
     # -- processing --------------------------------------------------------------
 
@@ -170,16 +188,19 @@ class EdgeNode:
                     self.mailboxes[agent.id].append(
                         TimerFire(rule.id, self._timer_count[key], self._timer_next[key])
                     )
+                    self.has_work = True
                     self._timer_next[key] += period
 
     def fire_timer(self, agent_id: str, rule_id: str, at: int) -> None:
         key = (agent_id, rule_id)
         self._timer_count[key] = self._timer_count.get(key, 0) + 1
         self.mailboxes[agent_id].append(TimerFire(rule_id, self._timer_count[key], at))
+        self.has_work = True
 
     def pump(self) -> int:
         """Drain mailboxes serially (agents in declaration order); returns the
         number of stimuli processed."""
+        self.has_work = False
         processed = 0
         progress = True
         while progress:
@@ -195,6 +216,8 @@ class EdgeNode:
                             agent.apply_rule_update(item.rule_doc)
                         except AtmosphereError as exc:
                             self.dead_letters.append(f"rule update for {agent_id}: {exc}")
+                        # an update can add or replace a message trigger
+                        self._consumers = self._index_consumers()
                         continue
                     self._execute(agent, agent.step(item))
         return processed

@@ -442,6 +442,35 @@ class TestGatewayChannels:
         assert server.counters == {"acl_in": 5, "acl_out": 5}
 
 
+    def test_message_to_agent_whose_channel_registers_later_delivered_once(self):
+        server = GatewayServer()
+        a_end, a_server = make_sync_pair()
+        b_end, b_server = make_sync_pair()
+        server.attach_channel(a_server)
+        server.attach_channel(b_server)
+        client_a = GatewayClient("edge-a")
+        client_b = GatewayClient("edge-b")
+        client_a.connect(a_end)
+        client_b.connect(b_end)
+        inbox_b = []
+        client_b.on_message = inbox_b.append
+        client_a.register(["a1"])
+        server.registry.register_agent("b1")  # known, but no channel yet
+
+        def send(value):
+            client_a.send(
+                AclMessage("INFORM", "a1", ("b1",), {"stream": "S", "fields": {"value": value}}, value)
+            )
+            return [m.content["fields"]["value"] for m in inbox_b]
+
+        assert send(0) == []
+        client_b.register(["b1"])
+        assert send(1) == [0, 1]
+        assert send(2) == [0, 1, 2]
+        assert server.counters == {"acl_in": 3, "acl_out": 3}
+        assert server.registry.ready == {}
+
+
 class TestScriptedLoopGoldenLog:
     def test_deterministic_effect_log(self):
         """Two agents behind a registry, scripted stimuli, hand-derived log."""

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from atmosphere.mqtt import MqttClient, Publish, retransmit_tick
-from atmosphere.mqtt.broker import Broker, InflightEntry, Session
+from atmosphere.mqtt import MqttClient, Publish, encode_packet, retransmit_tick
+from atmosphere.mqtt.broker import ROUTE_CACHE_SIZE, Broker, InflightEntry, Session
 from atmosphere.transport import make_sync_pair
 
 
@@ -77,7 +77,9 @@ class TestHandlePublish:
         assert publisher.counters["puback_received"] == 1
         assert broker.counters["publish_out"] == 0
 
-    def test_duplicate_qos1_redelivery_forwarded_once_reacked(self, broker, clock):
+    def test_qos1_redelivery_after_ack_forwarded_and_reacked(self, broker, clock):
+        """MQTT 3.1.1 4.3.2: a PUBLISH after its PUBACK is a new publication,
+        dup flag and reused packet id notwithstanding."""
         publisher = attach_client(broker, "pub", clock)
         sub = attach_client(broker, "sub", clock)
         sub.subscribe([("t", 0)])
@@ -87,8 +89,20 @@ class TestHandlePublish:
         broker.handle_publish(
             session, Publish(topic="t", payload=b"x", qos=1, packet_id=9, dup=True)
         )
-        assert inbox == [("t", b"x")]
+        assert inbox == [("t", b"x"), ("t", b"x")]
         assert publisher.counters["puback_received"] == 2
+
+    def test_client_delivers_qos1_redelivery_after_ack_and_reacks(self, broker, clock):
+        sub = attach_client(broker, "sub", clock)
+        inbox = collect(sub)
+        session = session_of(broker, "sub")
+        session.endpoint.send(encode_packet(Publish(topic="t", payload=b"x", qos=1, packet_id=9)))
+        session.endpoint.send(
+            encode_packet(Publish(topic="t", payload=b"x", qos=1, packet_id=9, dup=True))
+        )
+        assert inbox == [("t", b"x"), ("t", b"x")]
+        assert sub.counters["puback_sent"] == 2
+        assert broker.counters["puback_in"] == 2
 
     def test_forward_qos_is_min_of_publish_and_subscription(self, broker, clock):
         publisher = attach_client(broker, "pub", clock)
@@ -108,6 +122,70 @@ class TestHandlePublish:
 
 def collect_count(client):
     return client.counters["publish_received"] if client.on_message else 0
+
+
+def session_of(broker, client_id):
+    return next(s for s in broker._sessions if s.client_id == client_id)
+
+
+class TestRouteCache:
+    """Routes are cached per topic; each change that can alter a match must
+    reach the next publish on a topic that was already routed."""
+
+    def test_subscribe_after_topic_routed(self, broker, clock):
+        publisher = attach_client(broker, "pub", clock)
+        publisher.publish("t", b"1")
+        sub = attach_client(broker, "sub", clock)
+        inbox = collect(sub)
+        publisher.publish("t", b"2")
+        sub.subscribe([("t", 0)])
+        publisher.publish("t", b"3")
+        assert inbox == [("t", b"3")]
+
+    def test_client_id_takeover_only_new_session_receives(self, broker, clock):
+        publisher = attach_client(broker, "pub", clock)
+        old = attach_client(broker, "sub", clock)
+        old.subscribe([("t", 1)])
+        old_inbox = collect(old)
+        publisher.publish("t", b"1", qos=1)
+        old_session = session_of(broker, "sub")
+        new = attach_client(broker, "sub", clock)
+        new_inbox = collect(new)
+        new.subscribe([("t", 1)])
+        publisher.publish("t", b"2", qos=1)
+        assert old_inbox == [("t", b"1")]
+        assert new_inbox == [("t", b"2")]
+        assert old_session.inflight == {}
+        assert broker.counters["publish_out"] == 2
+
+    def test_nothing_sent_to_dropped_session(self, broker, clock):
+        publisher = attach_client(broker, "pub", clock)
+        sub = attach_client(broker, "sub", clock)
+        sub.subscribe([("t", 1)])
+        publisher.publish("t", b"1", qos=1)
+        session = session_of(broker, "sub")
+        sub.disconnect()
+        publisher.publish("t", b"2", qos=1)
+        assert broker.counters["publish_out"] == 1
+        assert session.inflight == {}
+        assert session.next_packet_id == 2  # no id allocated after the drop
+
+    def test_internal_subscription_added_after_first_publish(self, broker, clock):
+        publisher = attach_client(broker, "pub", clock)
+        publisher.publish("f1/in", b"1")
+        got = []
+        broker.subscribe_internal("f1/#", lambda topic, payload: got.append(payload))
+        publisher.publish("f1/in", b"2")
+        assert got == [b"2"]
+
+    def test_cache_bounded_under_many_topics(self, broker, clock):
+        publisher = attach_client(broker, "pub", clock)
+        sub = attach_client(broker, "sub", clock)
+        sub.subscribe([("t/#", 0)])
+        for i in range(ROUTE_CACHE_SIZE + 500):
+            publisher.publish(f"t/{i}", b"x")
+            assert len(broker._routes) <= ROUTE_CACHE_SIZE
+        assert sub.counters["publish_received"] == ROUTE_CACHE_SIZE + 500
 
 
 class TestRetransmitTick:

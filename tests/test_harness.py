@@ -259,6 +259,64 @@ class TestTierSeparation:
             deployment.close()
 
 
+class TestEdgePumping:
+    @staticmethod
+    def rooms(tmp_path, count):
+        """``count`` rooms, each a vent that messages its room's light."""
+        edges = []
+        for i in range(count):
+            room = f"r{i}"
+            edges.append({"id": room, "fog": "f1", "agents": [
+                {"id": f"{room}.vent", "sensors": ["o2"], "rules": [
+                    {"id": "low", "trigger": {"kind": "sensor", "sensor": "o2"},
+                     "actions": [{"kind": "send", "receivers": [f"{room}.light"],
+                                  "stream": "LowO2", "fields": {"value": "$value"}}]}]},
+                {"id": f"{room}.light", "actuators": {"light": False}, "rules": [
+                    {"id": "on", "trigger": {"kind": "message", "stream": "LowO2"},
+                     "actions": [{"kind": "actuate", "actuator": "light", "value": True}]}]},
+            ]})
+        doc = {
+            "name": f"rooms-{count}",
+            "schemas": {"S": {"x": "integer"}},
+            "topology": {"fogs": [{"id": "f1"}], "edges": edges},
+            "run": {"duration_s": 1, "qos": 0, "mode": "full", "clock": "event_time",
+                    "seed": 1, "warmup_s": 0},
+        }
+        path = tmp_path / f"rooms-{count}.json"
+        path.write_text(json.dumps(doc))
+        return load_scenario(path)
+
+    def test_pump_calls_independent_of_edge_count(self, tmp_path, monkeypatch):
+        from atmosphere.agents import Actuation
+        from atmosphere.nodes import EdgeNode
+
+        calls = [0]
+        pump = EdgeNode.pump
+
+        def counted(edge):
+            calls[0] += 1
+            return pump(edge)
+
+        monkeypatch.setattr(EdgeNode, "pump", counted)
+        per_size = {}
+        for count in (4, 32):
+            config = self.rooms(tmp_path, count)
+            clock = runner_mod.LogicalClock()
+            deployment = runner_mod.Deployment(
+                config, runner_mod.resolve_run(config, None), clock, sync=True
+            )
+            try:
+                calls[0] = 0
+                deployment.edges["r1"].inject_sensor("r1.vent", "o2", 85, at=0)
+                assert deployment.pump_edges() == 2  # the sample, then the message
+                per_size[count] = calls[0]
+                effects = deployment.edges["r1"].effect_log
+                assert Actuation("r1.light", "light", True) in effects
+            finally:
+                deployment.close()
+        assert per_size[4] == per_size[32]
+
+
 class TestProcessesMode:
     def test_short_run_over_tcp(self, bench):
         report = run_scenario(

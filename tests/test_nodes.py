@@ -368,6 +368,50 @@ class TestEdgeNode:
         logs = [e for e in edge.effect_log if isinstance(e, LogLine)]
         assert len(logs) == 6  # every agent has the matching message rule
 
+    def test_rule_update_adding_message_trigger_routes_next_event(self):
+        registry, broker, fog, gateway, edge = self.build()
+        spec = parse_agent_spec(
+            {
+                "id": "e2.late",
+                "sensors": ["s"],
+                "rules": [
+                    {
+                        "id": "sense",
+                        "trigger": {"kind": "sensor", "sensor": "s"},
+                        "actions": [{"kind": "log", "template": "s $value"}],
+                    }
+                ],
+            },
+            path="/late",
+        )
+        edge = EdgeNode("e2", "f1", [spec], registry, clock=lambda: 0)
+        edge.attach_broker(attach_client(broker, "e2"))
+        user = UserNode("u", "f1", registry)
+        user.attach(attach_client(broker, "u"))
+        publisher = attach_client(broker, "sim")
+        from atmosphere.agents import LogLine
+
+        def ping(n):
+            event = Event("Ping", {"n": n}, 10 + n, "e2")
+            publisher.publish(topics.fog_input("f1"), encode_event(event, registry))
+
+        ping(1)
+        assert not edge.has_work  # no agent consumes Echo yet
+        user.publish_rule_update(
+            "e2.late",
+            {
+                "id": "echo",
+                "trigger": {"kind": "message", "stream": "Echo"},
+                "actions": [{"kind": "log", "template": "echo"}],
+            },
+        )
+        assert edge.has_work
+        edge.pump()
+        ping(2)
+        assert edge.has_work
+        edge.pump()
+        assert [e.text for e in edge.effect_log if isinstance(e, LogLine)] == ["echo"]
+
     def test_agent_fog_publish_goes_through_broker(self):
         registry, broker, fog, gateway, edge = self.build()
         spec = parse_agent_spec(
