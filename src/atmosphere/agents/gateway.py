@@ -221,6 +221,10 @@ class GatewayClient:
             count=False,
         )
 
+    def close(self) -> None:
+        if self._endpoint is not None:
+            self._endpoint.close()
+
     def send(self, message: AclMessage, count: bool = True) -> None:
         if self._endpoint is None:
             raise GatewayError(f"{self.node_id}: gateway channel not connected")

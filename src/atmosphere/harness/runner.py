@@ -1,14 +1,20 @@
 """Scenario runner: builds the topology, drives simulators and the scripted
 timeline, measures round trips, and produces a :class:`RunReport`.
 
-Two drivers share the deployment code:
+One builder, :class:`Deployment`, wires the nodes over links of one kind:
+``sync`` (synchronous, in-process), ``queue`` (in-process, a pump thread per
+direction) or ``tcp`` (local sockets, for a run split over OS processes, see
+:mod:`.procs`). Its :class:`Placement` says which nodes this process hosts:
+the core tier (broker, gateways, fogs, clouds, user node and feeder) and
+which edges; by default, everything. Two drivers run a deployment:
 
 * ``event_time``: single-threaded, synchronous links, a logical clock set by
   the timeline. Byte-identical output for a given seed; used for all
   correctness runs.
-* ``processing_time``: queued links, pump threads, wall clock; used for the
-  latency/throughput benches. Latency is measured on the edge node from
-  publish to the return of the matching complex event.
+* ``processing_time`` (:func:`drive`): pump threads and the wall clock; used
+  for the latency/throughput benches, in one process or in each process of a
+  split deployment. Latency is measured on the edge node from publish to the
+  return of the matching complex event.
 
 The bench convention: every simulator event carries a ``rid`` field, the fog
 echoes it back on the edge output topic, and the edge records the round trip.
@@ -28,9 +34,9 @@ from dataclasses import dataclass, field
 from ..agents import AclMessage, GatewayClient, GatewayServer, parse_agent_spec
 from ..errors import AtmosphereError, ConfigError
 from ..events import Event, encode_event
-from ..mqtt import Broker, MqttClient, drain_inflight
+from ..mqtt import Broker, MqttClient
 from ..nodes import CloudNode, EdgeNode, FogNode, UserNode, topics
-from ..transport import make_queue_pair, make_sync_pair
+from ..transport import TcpServer, connect_tcp, make_queue_pair, make_sync_pair
 from .config import RunDefaults, ScenarioConfig
 from .generators import EventFactory, emission_times_ms
 from .metrics import MetricsSink, RunReport
@@ -41,6 +47,9 @@ SATURATION_HIGH_WATER = 1000
 SATURATION_HOLD_S = 5.0
 ECHO_SERVICE = "echo"
 SINK_SERVICE = "svc"
+TCP_HOST = "127.0.0.1"
+# round-trip ids a process numbers from: edge i's process starts at i * RID_SPACE
+RID_SPACE = 10_000_000
 
 
 @dataclass
@@ -80,30 +89,70 @@ class LogicalClock:
             self.now = at_ms
 
 
+class WallClock:
+    """Whole milliseconds since ``start``, the processing-time origin."""
+
+    def __init__(self):
+        self.start = time.monotonic()
+
+    def __call__(self) -> int:
+        return int((time.monotonic() - self.start) * 1000)
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Which nodes of a deployment this process hosts.
+
+    ``core`` is the broker, the gateways, the fog and cloud nodes, the user
+    node and the feeder; ``edges`` names the hosted edges, ``None`` for all.
+    A placement without the core reaches it over tcp at ``core_ports``, the
+    core's :attr:`Deployment.ports`.
+    """
+
+    core: bool = True
+    edges: tuple[str, ...] | None = None
+    core_ports: dict | None = None
+
+    def hosts(self, edge_id: str) -> bool:
+        return self.edges is None or edge_id in self.edges
+
+    @property
+    def label(self) -> str:
+        """``all``, ``core``, or the hosted edge ids."""
+        return "all" if self.edges is None else "+".join(self.edges) or "core"
+
+
 def _probe_spec(edge_id: str):
     return parse_agent_spec({"id": f"{edge_id}.probe"}, path="/probe")
 
 
 class Deployment:
-    """All nodes of one scenario wired to one broker and per-fog gateways."""
+    """The nodes of one scenario that ``placement`` puts in this process,
+    wired to one broker and per-fog gateways by links of kind ``link``
+    (``sync``, ``queue`` or ``tcp``)."""
 
-    def __init__(self, config: ScenarioConfig, run: RunDefaults, clock, sync: bool):
+    def __init__(self, config: ScenarioConfig, run: RunDefaults, clock, link: str,
+                 placement: Placement = Placement()):
         self.config = config
         self.run = run
         self.clock = clock
-        self.sync = sync
+        self.link = link
+        self.placement = placement
         self.registry = config.build_registry()
         self.queue_endpoints = []
-        self.connection_registry: list[tuple[str, str, tuple]] = []
+        self.servers: list[TcpServer] = []
+        # under tcp, where the core serves: {"broker": port, "gateways": {fog: port}}
+        self.ports = placement.core_ports
         engine_mode = run.clock
         wall = clock if run.clock == "processing_time" else None
 
-        self.broker = Broker(clock=clock)
+        self.broker: Broker | None = None
         self.gateways: dict[str, GatewayServer] = {}
         self.fogs: dict[str, FogNode] = {}
         self.clouds: dict[str, CloudNode] = {}
         self.edges: dict[str, EdgeNode] = {}
         self.user: UserNode | None = None
+        self.feeder: MqttClient | None = None
         self.clients: list[MqttClient] = []
 
         with_cep = run.mode != "agents-only"
@@ -111,43 +160,50 @@ class Deployment:
 
         # startup order: broker first, then fog (gateway + engine), cloud,
         # edges, finally user clients
-        for fog_cfg in config.fogs:
-            if with_gateway:
-                gateway = GatewayServer()
-                gateway.register_service(SINK_SERVICE, lambda message: [])
-                if run.mode == "agents-only":
-                    gateway.register_service(ECHO_SERVICE, self._echo_service)
-                self.gateways[fog_cfg.id] = gateway
-            if with_cep:
-                self.fogs[fog_cfg.id] = FogNode(
-                    fog_cfg.id,
-                    self.broker,
+        if placement.core:
+            self.broker = Broker(clock=clock)
+            if link == "tcp":
+                self.ports = {"broker": self._serve(self.broker.attach), "gateways": {}}
+            for fog_cfg in config.fogs:
+                if with_gateway:
+                    gateway = GatewayServer()
+                    gateway.register_service(SINK_SERVICE, lambda message: [])
+                    if run.mode == "agents-only":
+                        gateway.register_service(ECHO_SERVICE, self._echo_service)
+                    self.gateways[fog_cfg.id] = gateway
+                    if link == "tcp":
+                        self.ports["gateways"][fog_cfg.id] = self._serve(gateway.attach_channel)
+                if with_cep:
+                    self.fogs[fog_cfg.id] = FogNode(
+                        fog_cfg.id,
+                        self.broker,
+                        self.registry,
+                        list(fog_cfg.patterns),
+                        mode=engine_mode,
+                        extra_inputs=fog_cfg.extra_inputs,
+                        qos=run.qos,
+                        wall_clock=wall,
+                    )
+            for cloud_cfg in config.clouds:
+                if not with_cep:
+                    continue
+                cloud = CloudNode(
+                    cloud_cfg.id,
                     self.registry,
-                    list(fog_cfg.patterns),
+                    list(cloud_cfg.patterns),
+                    sources=list(cloud_cfg.sources),
+                    transformers=list(cloud_cfg.transformers),
+                    sinks=list(cloud_cfg.sinks),
                     mode=engine_mode,
-                    extra_inputs=fog_cfg.extra_inputs,
                     qos=run.qos,
+                    clock=clock,
                     wall_clock=wall,
                 )
-        for cloud_cfg in config.clouds:
-            if not with_cep:
-                continue
-            cloud = CloudNode(
-                cloud_cfg.id,
-                self.registry,
-                list(cloud_cfg.patterns),
-                sources=list(cloud_cfg.sources),
-                transformers=list(cloud_cfg.transformers),
-                sinks=list(cloud_cfg.sinks),
-                mode=engine_mode,
-                qos=run.qos,
-                clock=clock,
-                wall_clock=wall,
-            )
-            cloud.attach(self._mqtt_client(cloud_cfg.id, "cloud",
-                                           tuple(s.topic for s in cloud_cfg.sources)))
-            self.clouds[cloud_cfg.id] = cloud
+                cloud.attach(self._mqtt_client(cloud_cfg.id))
+                self.clouds[cloud_cfg.id] = cloud
         for edge_cfg in config.edges:
+            if not placement.hosts(edge_cfg.id):
+                continue
             specs = list(edge_cfg.agent_specs)
             if run.mode == "agents-only":
                 specs.append(_probe_spec(edge_cfg.id))
@@ -160,50 +216,52 @@ class Deployment:
                 qos=run.qos,
             )
             if run.mode != "agents-only":
-                edge.attach_broker(
-                    self._mqtt_client(
-                        edge_cfg.id,
-                        "edge",
-                        (
-                            topics.fog_output(edge_cfg.fog, "edge"),
-                            topics.user_topic(edge_cfg.fog),
-                        ),
-                    )
-                )
+                edge.attach_broker(self._mqtt_client(edge_cfg.id))
             if with_gateway:
                 edge.attach_gateway(self._gateway_client(edge_cfg.id, edge_cfg.fog))
             self.edges[edge_cfg.id] = edge
-        if config.user is not None:
-            self.user = UserNode(config.user.id, config.user.fog, self.registry, qos=run.qos)
-            self.user.attach(
-                self._mqtt_client(config.user.id, "user", (topics.user_topic(config.user.fog),))
-            )
-        # feeder client for scripted cloud-source entries
-        self.feeder = self._mqtt_client("$feeder", "harness", ())
+        if placement.core:
+            if config.user is not None:
+                self.user = UserNode(config.user.id, config.user.fog, self.registry, qos=run.qos)
+                self.user.attach(self._mqtt_client(config.user.id))
+            # feeder client for scripted cloud-source entries
+            self.feeder = self._mqtt_client("$feeder")
 
     # -- wiring ---------------------------------------------------------------
 
-    def _pair(self, name_a, name_b):
-        if self.sync:
-            return make_sync_pair(name_a, name_b)
-        a, b = make_queue_pair(name_a, name_b)
-        self.queue_endpoints.extend([a, b])
-        return a, b
+    def _serve(self, on_connection) -> int:
+        server = TcpServer(TCP_HOST, 0, on_connection)
+        self.servers.append(server)
+        return server.port
 
-    def _mqtt_client(self, client_id: str, role: str, subscriptions: tuple) -> MqttClient:
-        client_end, broker_end = self._pair(f"{client_id}-c", f"{client_id}-b")
-        self.broker.attach(broker_end)
+    def _pair(self, name_a: str, name_b: str, attach):
+        """An in-process link; ``attach`` takes the far end, the near end is returned."""
+        if self.link == "sync":
+            a, b = make_sync_pair(name_a, name_b)
+        else:
+            a, b = make_queue_pair(name_a, name_b)
+            self.queue_endpoints.extend([a, b])
+        attach(b)
+        return a
+
+    def _mqtt_client(self, client_id: str) -> MqttClient:
+        if self.link == "tcp":
+            endpoint = connect_tcp(TCP_HOST, self.ports["broker"], name=client_id)
+        else:
+            endpoint = self._pair(f"{client_id}-c", f"{client_id}-b", self.broker.attach)
         client = MqttClient(client_id, clock=self.clock)
-        client.connect(client_end)
+        client.connect(endpoint)
         self.clients.append(client)
-        self.connection_registry.append((client_id, role, subscriptions))
         return client
 
     def _gateway_client(self, edge_id: str, fog_id: str) -> GatewayClient:
-        client_end, server_end = self._pair(f"{edge_id}-gw-c", f"{edge_id}-gw-s")
-        self.gateways[fog_id].attach_channel(server_end)
+        if self.link == "tcp":
+            endpoint = connect_tcp(TCP_HOST, self.ports["gateways"][fog_id], name=f"{edge_id}-gw")
+        else:
+            endpoint = self._pair(f"{edge_id}-gw-c", f"{edge_id}-gw-s",
+                                  self.gateways[fog_id].attach_channel)
         client = GatewayClient(edge_id)
-        client.connect(client_end)
+        client.connect(endpoint)
         return client
 
     def _echo_service(self, message: AclMessage) -> list[AclMessage]:
@@ -238,11 +296,11 @@ class Deployment:
                 break
             for node in nodes:
                 node.advance(due)
-            if self.sync:
+            if self.link == "sync":
                 self.pump_edges()
         for node in nodes:
             node.advance(to_ms)
-        if self.sync:
+        if self.link == "sync":
             self.pump_edges()
 
     def pump_edges(self) -> int:
@@ -259,10 +317,14 @@ class Deployment:
             total += moved
 
     def close(self) -> None:
+        # closing a link's near end closes its far end too
         for client in self.clients:
             client.disconnect()
-        for endpoint in self.queue_endpoints:
-            endpoint.close()
+        for edge in self.edges.values():
+            if edge.gateway_client is not None:
+                edge.gateway_client.close()
+        for server in self.servers:
+            server.close()
 
     # -- accounting -----------------------------------------------------------------
 
@@ -325,7 +387,8 @@ def run_scenario(
         return run_in_processes(config, run, rate_override)
     if run.clock == "event_time":
         return _run_event_time(config, run, rate_override)
-    return _run_processing(config, run, rate_override)
+    clock = WallClock()  # the origin precedes the build: sends are due from it
+    return drive(Deployment(config, run, clock, "queue"), rate_override)
 
 
 # -- event-time driver ------------------------------------------------------------
@@ -382,7 +445,7 @@ def _synthesize_steps(config: ScenarioConfig, run: RunDefaults, rate_override) -
 
 def _run_event_time(config: ScenarioConfig, run: RunDefaults, rate_override) -> RunReport:
     clock = LogicalClock()
-    deployment = Deployment(config, run, clock, sync=True)
+    deployment = Deployment(config, run, clock, "sync")
     sink = MetricsSink(run.qos, run.mode)
     _wire_probe_hooks(deployment, sink, clock)
     steps = _synthesize_steps(config, run, rate_override)
@@ -508,13 +571,13 @@ def _collect(deployment: Deployment, sink: MetricsSink, run: RunDefaults,
 # -- processing-time driver ----------------------------------------------------------
 
 
-def _run_processing(config: ScenarioConfig, run: RunDefaults, rate_override) -> RunReport:
-    start = time.monotonic()
+def drive(deployment: Deployment, rate_override, until=None) -> RunReport:
+    """Run ``deployment`` in processing time and report on the nodes it hosts.
 
-    def clock() -> int:
-        return int((time.monotonic() - start) * 1000)
-
-    deployment = Deployment(config, run, clock, sync=False)
+    Runs the hosted edges' simulators to their end, waits for the event
+    ``until`` if one is given, then for in-flight round trips and QoS 1 acks.
+    """
+    config, run, clock = deployment.config, deployment.run, deployment.clock
     sink = MetricsSink(run.qos, run.mode)
     _wire_probe_hooks(deployment, sink, clock)
     stop = threading.Event()
@@ -525,7 +588,8 @@ def _run_processing(config: ScenarioConfig, run: RunDefaults, rate_override) -> 
     def ticker():
         while not stop.wait(0.05):
             now = clock()
-            deployment.broker.tick(now)
+            if deployment.broker is not None:
+                deployment.broker.tick(now)
             for client in deployment.clients:
                 client.tick(now)
 
@@ -543,10 +607,11 @@ def _run_processing(config: ScenarioConfig, run: RunDefaults, rate_override) -> 
 
     def cpu_sampler():
         # process CPU time (all threads) over wall time, in percent of one core
+        label = deployment.placement.label
         last_wall, last_cpu = time.monotonic(), time.process_time()
         while not stop.wait(0.5):
             wall, cpu = time.monotonic(), time.process_time()
-            cpu_samples.append((clock(), "all", 100.0 * (cpu - last_cpu) / (wall - last_wall)))
+            cpu_samples.append((clock(), label, 100.0 * (cpu - last_cpu) / (wall - last_wall)))
             last_wall, last_cpu = wall, cpu
 
     def saturation_watch():
@@ -571,7 +636,7 @@ def _run_processing(config: ScenarioConfig, run: RunDefaults, rate_override) -> 
                 return
             # from the exact run start: ``clock()`` truncates to whole ms,
             # which would leave every send up to 1 ms late
-            delay = start + offset_ms / 1000.0 - time.monotonic()
+            delay = clock.start + offset_ms / 1000.0 - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
             fields = factory.next_fields()
@@ -585,7 +650,10 @@ def _run_processing(config: ScenarioConfig, run: RunDefaults, rate_override) -> 
                 logger.error("simulator emit failed: %s", exc)
                 return
 
-    rid_counter = [0]
+    # rids are unique across the processes of a split run
+    edge_ids = [edge_cfg.id for edge_cfg in config.edges]
+    first = min((edge_ids.index(edge_id) for edge_id in deployment.edges), default=0)
+    rid_counter = [first * RID_SPACE]
     rid_lock = threading.Lock()
     if run.mode == "full":
         for edge in deployment.edges.values():
@@ -597,6 +665,8 @@ def _run_processing(config: ScenarioConfig, run: RunDefaults, rate_override) -> 
         thread.start()
     sim_threads = []
     for index, sim in enumerate(config.simulators):
+        if sim.edge not in deployment.edges:
+            continue
         thread = threading.Thread(target=simulator, args=(sim, index), daemon=True)
         sim_threads.append(thread)
         thread.start()
@@ -605,6 +675,8 @@ def _run_processing(config: ScenarioConfig, run: RunDefaults, rate_override) -> 
     try:
         for thread in sim_threads:
             thread.join(timeout=max(0.0, deadline - time.monotonic()) + 5.0)
+        if until is not None:
+            until.wait()
         # drain: let in-flight round trips and qos-1 acks finish
         drain_deadline = time.monotonic() + 10.0
         while time.monotonic() < drain_deadline:
@@ -617,7 +689,6 @@ def _run_processing(config: ScenarioConfig, run: RunDefaults, rate_override) -> 
         stop.set()
         for thread in threads:
             thread.join(timeout=2.0)
-        drain_inflight(deployment.clients, timeout_s=2.0)
         report = _collect(
             deployment, sink, run, cpu_samples=cpu_samples, saturated=saturated.is_set()
         )

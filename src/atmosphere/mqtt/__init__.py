@@ -1,5 +1,5 @@
-from .broker import Broker, Session, retransmit_tick
-from .client import MqttClient, drain_inflight
+from .broker import Broker, Inflight, Session
+from .client import MqttClient
 from .packets import (
     ConnAck,
     Connect,
@@ -20,9 +20,8 @@ from .packets import (
 __all__ = [
     "Broker",
     "Session",
-    "retransmit_tick",
+    "Inflight",
     "MqttClient",
-    "drain_inflight",
     "Packet",
     "Connect",
     "ConnAck",

@@ -10,6 +10,10 @@ Delivery ordering: per-connection FIFO holds for QoS 0; QoS 1 re-deliveries
 (dup re-sends after a timeout) may arrive out of order relative to newer
 publishes.
 
+Each session keeps its unacked QoS 1 forwards in an :class:`Inflight`, the
+helper the client uses too; a session whose due re-send has no retries left
+is dropped.
+
 Routes are cached per topic and emptied on every change that can alter a
 match: attach, CONNECT, SUBSCRIBE, internal subscribe and drop.
 """
@@ -61,6 +65,58 @@ class InflightEntry:
     retry_count: int = 0
 
 
+class Inflight(dict):
+    """The unacked QoS 1 publishes one side of a connection sent, by packet
+    id, with the packet-id cursor: shared by broker sessions and clients.
+
+    What happens once an entry's retries run out is the owner's policy.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.next_packet_id = 1
+
+    def allocate_packet_id(self, taken=()) -> int:
+        """The next packet id neither in flight nor in ``taken``."""
+        for _ in range(MAX_PACKET_ID):
+            pid = self.next_packet_id
+            self.next_packet_id = pid % MAX_PACKET_ID + 1
+            if pid not in self and pid not in taken:
+                return pid
+        raise MqttProtocolError("no free packet ids (65535 in flight)")
+
+    def open(self, topic: str, payload: bytes, now_ms: int, taken=()) -> Publish:
+        """A QoS 1 publish under a fresh packet id, held until acked."""
+        pid = self.allocate_packet_id(taken)
+        publish = Publish(topic=topic, payload=payload, qos=1, packet_id=pid)
+        self[pid] = InflightEntry(publish=publish, last_sent_at=now_ms)
+        return publish
+
+    def due(self, now_ms: int, retry_timeout_ms: int, max_retries: int
+            ) -> tuple[list[Publish], list[int]]:
+        """Re-sends due at ``now_ms``, with dup set and counted, and the ids
+        of the due entries whose retries have run out (left in place)."""
+        resends: list[Publish] = []
+        exhausted: list[int] = []
+        for pid, entry in self.items():
+            if now_ms - entry.last_sent_at < retry_timeout_ms:
+                continue
+            if entry.retry_count >= max_retries:
+                exhausted.append(pid)
+                continue
+            entry.retry_count += 1
+            entry.last_sent_at = now_ms
+            entry.publish = Publish(
+                topic=entry.publish.topic,
+                payload=entry.publish.payload,
+                qos=1,
+                packet_id=pid,
+                dup=True,
+            )
+            resends.append(entry.publish)
+        return resends, exhausted
+
+
 @dataclass
 class Session:
     """Per-connection state; clean-session always, nothing survives a drop."""
@@ -69,47 +125,8 @@ class Session:
     endpoint: Endpoint | None = None
     connected: bool = False
     subscriptions: list = field(default_factory=list)  # of (topic_filter, qos)
-    inflight: dict = field(default_factory=dict)  # packet_id -> InflightEntry
-    next_packet_id: int = 1
+    inflight: Inflight = field(default_factory=Inflight)
     buffer: bytearray = field(default_factory=bytearray)
-
-    def allocate_packet_id(self) -> int:
-        for _ in range(MAX_PACKET_ID):
-            pid = self.next_packet_id
-            self.next_packet_id = pid % MAX_PACKET_ID + 1
-            if pid not in self.inflight:
-                return pid
-        raise MqttProtocolError("no free packet ids (65535 in flight)")
-
-
-def retransmit_tick(
-    session: Session,
-    now_ms: int,
-    retry_timeout_ms: int = DEFAULT_RETRY_TIMEOUT_MS,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-) -> tuple[list[Publish], bool]:
-    """Collect due re-sends for one session.
-
-    Returns ``(publishes to re-send with dup set, drop_session)``; the session
-    is dropped once an entry due for re-send has exhausted ``max_retries``.
-    """
-    resends: list[Publish] = []
-    for entry in session.inflight.values():
-        if now_ms - entry.last_sent_at < retry_timeout_ms:
-            continue
-        if entry.retry_count >= max_retries:
-            return [], True
-        entry.retry_count += 1
-        entry.last_sent_at = now_ms
-        entry.publish = Publish(
-            topic=entry.publish.topic,
-            payload=entry.publish.payload,
-            qos=1,
-            packet_id=entry.publish.packet_id,
-            dup=True,
-        )
-        resends.append(entry.publish)
-    return resends, False
 
 
 class Broker:
@@ -259,13 +276,7 @@ class Broker:
                     Publish(topic=publish.topic, payload=publish.payload, qos=0),
                 )
             else:
-                pid = subscriber.allocate_packet_id()
-                forward = Publish(
-                    topic=publish.topic, payload=publish.payload, qos=1, packet_id=pid
-                )
-                subscriber.inflight[pid] = InflightEntry(
-                    publish=forward, last_sent_at=self._clock()
-                )
+                forward = subscriber.inflight.open(publish.topic, publish.payload, self._clock())
                 self._send(subscriber, forward)
 
     def tick(self, now_ms: int | None = None) -> None:
@@ -273,10 +284,10 @@ class Broker:
         now = self._clock() if now_ms is None else now_ms
         with self._lock:
             for session in list(self._sessions):
-                resends, drop = retransmit_tick(
-                    session, now, self.retry_timeout_ms, self.max_retries
+                resends, exhausted = session.inflight.due(
+                    now, self.retry_timeout_ms, self.max_retries
                 )
-                if drop:
+                if exhausted:
                     logger.warning(
                         "dropping %s: retries exhausted", session.client_id
                     )

@@ -1,8 +1,9 @@
 """Broker client used by edge, cloud and user nodes.
 
-Mirrors the broker's at-least-once behavior on the outbound side: QoS 1
-publishes stay in flight until acked and are re-sent with the dup flag on
-:meth:`MqttClient.tick`. Packet counters live here because round-trip
+Shares the broker's at-least-once bookkeeping (:class:`.broker.Inflight`) on
+the outbound side: QoS 1 publishes stay in flight until acked and are re-sent
+with the dup flag on :meth:`MqttClient.tick`; one whose retries run out is
+given up. Packet counters live here because round-trip
 accounting in the harness is measured from the node's perspective.
 """
 
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import threading
-import time
 from typing import Callable
 
 from ..errors import AtmosphereError, TransportError
@@ -18,14 +18,13 @@ from ..transport import Endpoint
 from .broker import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_RETRY_TIMEOUT_MS,
-    InflightEntry,
+    Inflight,
     wall_clock_ms,
 )
 from .packets import (
     ConnAck,
     Connect,
     Disconnect,
-    MAX_PACKET_ID,
     PubAck,
     Publish,
     SubAck,
@@ -54,8 +53,7 @@ class MqttClient:
         self._buffer = bytearray()
         self._connected = threading.Event()
         self._pending_subacks: dict[int, threading.Event] = {}
-        self._next_packet_id = 1
-        self.inflight: dict[int, InflightEntry] = {}
+        self.inflight = Inflight()
         self.on_message: Callable[[str, bytes], None] | None = None
         self.counters = {
             "publish_sent": 0,
@@ -79,7 +77,7 @@ class MqttClient:
 
     def subscribe(self, filters: list[tuple[str, int]], timeout_s: float = 5.0) -> None:
         with self._lock:
-            pid = self._allocate_packet_id()
+            pid = self.inflight.allocate_packet_id(self._pending_subacks)
             acked = threading.Event()
             self._pending_subacks[pid] = acked
             self._send(Subscribe(packet_id=pid, filters=tuple(filters)))
@@ -93,35 +91,22 @@ class MqttClient:
                 self.counters["publish_sent"] += 1
                 self._send(Publish(topic=topic, payload=payload, qos=0))
                 return None
-            pid = self._allocate_packet_id()
-            publish = Publish(topic=topic, payload=payload, qos=1, packet_id=pid)
-            self.inflight[pid] = InflightEntry(publish=publish, last_sent_at=self._clock())
+            publish = self.inflight.open(topic, payload, self._clock(), self._pending_subacks)
             self.counters["publish_sent"] += 1
             self._send(publish)
-            return pid
+            return publish.packet_id
 
     def tick(self, now_ms: int | None = None) -> None:
         """Re-send unacked QoS 1 publishes past the retry timeout."""
         now = self._clock() if now_ms is None else now_ms
         with self._lock:
-            for pid, entry in list(self.inflight.items()):
-                if now - entry.last_sent_at < self.retry_timeout_ms:
-                    continue
-                if entry.retry_count >= self.max_retries:
-                    logger.warning("%s: giving up on publish %d", self.client_id, pid)
-                    del self.inflight[pid]
-                    continue
-                entry.retry_count += 1
-                entry.last_sent_at = now
-                entry.publish = Publish(
-                    topic=entry.publish.topic,
-                    payload=entry.publish.payload,
-                    qos=1,
-                    packet_id=pid,
-                    dup=True,
-                )
+            resends, exhausted = self.inflight.due(now, self.retry_timeout_ms, self.max_retries)
+            for pid in exhausted:
+                logger.warning("%s: giving up on publish %d", self.client_id, pid)
+                del self.inflight[pid]
+            for publish in resends:
                 self.counters["publish_sent"] += 1
-                self._send(entry.publish)
+                self._send(publish)
 
     def disconnect(self) -> None:
         if self._endpoint is not None and not self._endpoint.closed:
@@ -177,29 +162,7 @@ class MqttClient:
             if self.on_message is not None:
                 self.on_message(packet.topic, packet.payload)
 
-    def _allocate_packet_id(self) -> int:
-        for _ in range(MAX_PACKET_ID):
-            pid = self._next_packet_id
-            self._next_packet_id = pid % MAX_PACKET_ID + 1
-            if pid not in self.inflight and pid not in self._pending_subacks:
-                return pid
-        raise TransportError("no free packet ids")
-
     def _send(self, packet) -> None:
         if self._endpoint is None:
             raise TransportError(f"{self.client_id}: not connected")
         self._endpoint.send(encode_packet(packet))
-
-
-def drain_inflight(
-    clients: list[MqttClient],
-    timeout_s: float = 10.0,
-    poll_s: float = 0.02,
-) -> bool:
-    """Wait until no client holds unacked QoS 1 publishes; True on success."""
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if all(c.inflight_count() == 0 for c in clients):
-            return True
-        time.sleep(poll_s)
-    return all(c.inflight_count() == 0 for c in clients)

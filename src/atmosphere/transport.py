@@ -20,6 +20,7 @@ import logging
 import queue
 import socket
 import threading
+import time
 from typing import Callable
 
 from .errors import TransportError
@@ -27,6 +28,8 @@ from .errors import TransportError
 logger = logging.getLogger(__name__)
 
 Receiver = Callable[[bytes], None]
+
+CONNECT_ATTEMPTS = 5
 
 
 class Endpoint:
@@ -248,10 +251,19 @@ class TcpServer:
 
 
 def connect_tcp(host: str, port: int, name: str = "", timeout_s: float = 5.0) -> TcpEndpoint:
-    try:
-        sock = socket.create_connection((host, port), timeout=timeout_s)
-    except OSError as exc:
-        raise TransportError(f"cannot connect {host}:{port}: {exc}") from None
+    """Connect, retrying with a growing pause; a clean error once
+    ``CONNECT_ATTEMPTS`` attempts have failed."""
+    for attempt in range(CONNECT_ATTEMPTS):
+        try:
+            sock = socket.create_connection((host, port), timeout=timeout_s)
+            break
+        except OSError as exc:
+            last = exc
+            time.sleep(0.2 * (attempt + 1))
+    else:
+        raise TransportError(
+            f"cannot connect {host}:{port} after {CONNECT_ATTEMPTS} attempts: {last}"
+        )
     sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return TcpEndpoint(sock, name=name or f"{host}:{port}")

@@ -108,7 +108,7 @@ def test_criterion_3_hospital_end_to_end():
 
         # (a) threshold behavior, observed on a live deployment
         clock = LogicalClock()
-        deployment = Deployment(config, resolve_run(config, None), clock, sync=True)
+        deployment = Deployment(config, resolve_run(config, None), clock, link="sync")
         try:
             edge = deployment.edges["r301"]
             fog = deployment.fogs["f1"]
@@ -287,7 +287,7 @@ def test_criterion_9_user_bridge_isolation():
     with criterion(9, "user-bridge-isolation", budget_s=30.0):
         config = load_scenario(SCENARIOS / "hospital.json")
         clock = LogicalClock()
-        deployment = Deployment(config, resolve_run(config, None), clock, sync=True)
+        deployment = Deployment(config, resolve_run(config, None), clock, link="sync")
         try:
             fog = deployment.fogs["f1"]
             user = deployment.user

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import logging
 import random
 
 import pytest
 
-from atmosphere.mqtt import MqttClient, Publish, encode_packet, retransmit_tick
-from atmosphere.mqtt.broker import ROUTE_CACHE_SIZE, Broker, InflightEntry, Session
+from atmosphere.mqtt import Inflight, MqttClient, Publish, encode_packet
+from atmosphere.mqtt.broker import ROUTE_CACHE_SIZE, Broker, InflightEntry
 from atmosphere.transport import make_sync_pair
 
 
@@ -168,7 +169,7 @@ class TestRouteCache:
         publisher.publish("t", b"2", qos=1)
         assert broker.counters["publish_out"] == 1
         assert session.inflight == {}
-        assert session.next_packet_id == 2  # no id allocated after the drop
+        assert session.inflight.next_packet_id == 2  # no id allocated after the drop
 
     def test_internal_subscription_added_after_first_publish(self, broker, clock):
         publisher = attach_client(broker, "pub", clock)
@@ -188,38 +189,65 @@ class TestRouteCache:
         assert sub.counters["publish_received"] == ROUTE_CACHE_SIZE + 500
 
 
-class TestRetransmitTick:
-    def _session_with_entry(self, age_origin, retry_count=0):
-        session = Session(client_id="s")
+class TestInflight:
+    def _inflight_with_entry(self, age_origin, retry_count=0):
+        inflight = Inflight()
         publish = Publish(topic="t", payload=b"x", qos=1, packet_id=1)
-        session.inflight[1] = InflightEntry(
+        inflight[1] = InflightEntry(
             publish=publish, last_sent_at=age_origin, retry_count=retry_count
         )
-        return session
+        return inflight
 
     def test_aged_entry_resent_with_dup(self):
-        session = self._session_with_entry(age_origin=0)
-        resends, drop = retransmit_tick(session, now_ms=2000, retry_timeout_ms=1000)
-        assert not drop
+        inflight = self._inflight_with_entry(age_origin=0)
+        resends, exhausted = inflight.due(2000, retry_timeout_ms=1000, max_retries=5)
+        assert exhausted == []
         assert len(resends) == 1
         assert resends[0].dup is True
-        assert session.inflight[1].retry_count == 1
+        assert inflight[1].retry_count == 1
 
     def test_fresh_entry_not_resent(self):
-        session = self._session_with_entry(age_origin=1500)
-        resends, drop = retransmit_tick(session, now_ms=2000, retry_timeout_ms=1000)
-        assert resends == [] and not drop
+        inflight = self._inflight_with_entry(age_origin=1500)
+        assert inflight.due(2000, retry_timeout_ms=1000, max_retries=5) == ([], [])
 
     def test_empty_inflight_noop(self):
-        session = Session(client_id="s")
-        assert retransmit_tick(session, now_ms=10_000) == ([], False)
+        assert Inflight().due(10_000, retry_timeout_ms=1000, max_retries=5) == ([], [])
 
-    def test_exhausted_retries_drop_session(self):
-        session = self._session_with_entry(age_origin=0, retry_count=5)
-        resends, drop = retransmit_tick(
-            session, now_ms=10_000, retry_timeout_ms=1000, max_retries=5
-        )
-        assert drop and resends == []
+    def test_exhausted_retries_drop_session(self, broker, clock):
+        inflight = self._inflight_with_entry(age_origin=0, retry_count=5)
+        assert inflight.due(10_000, retry_timeout_ms=1000, max_retries=5) == ([], [1])
+        # the broker's policy for an exhausted entry: drop the session
+        attach_client(broker, "c", clock)
+        session = session_of(broker, "c")
+        session.inflight = inflight
+        clock.advance(10_000)
+        broker.tick()
+        assert broker.session_count() == 0
+        assert session.endpoint.closed
+
+    def test_client_gives_up_exhausted_publish_only(self, clock):
+        client_end, _ = make_sync_pair(drop_a_to_b=lambda data: True)
+        client = MqttClient("c", clock=clock, retry_timeout_ms=1000, max_retries=1)
+        client._endpoint = client_end  # every send is lost, so nothing is acked
+        old = client.publish("t", b"old", qos=1)
+        clock.advance(1000)
+        client.tick()  # the one retry
+        young = client.publish("t", b"young", qos=1)
+        clock.advance(1000)
+        client.tick()
+        assert list(client.inflight) == [young]
+        assert client.inflight[young].retry_count == 1
+        assert old != young
+
+    def test_packet_ids_skip_taken_and_wrap(self):
+        inflight = Inflight()
+        inflight.next_packet_id = 65534
+        first = inflight.open("t", b"a", 0)
+        assert first.packet_id == 65534
+        assert inflight.allocate_packet_id(taken={65535}) == 1
+        assert inflight.allocate_packet_id() == 2
+        inflight.next_packet_id = 65534
+        assert inflight.allocate_packet_id() == 65535  # 65534 is in flight
 
 
 class TestQos0Accounting:
@@ -333,6 +361,53 @@ class TestLossyLink:
             broker.tick()
         assert len(received) == total, f"only {len(received)}/{total} delivered"
         assert clock.now - start <= bound_ms
+
+    def test_at_least_once_past_packet_id_wrap_under_2pct_loss(self, clock, caplog):
+        """70 000 QoS 1 publishes on one session, so packet ids wrap on both
+        hops, all arrive despite 2% loss each way on both links."""
+        rng = random.Random(65536)
+
+        def lossy(_):
+            return rng.random() < 0.02
+
+        broker = Broker(clock=clock)
+        pub_end, pub_broker_end = make_sync_pair(drop_a_to_b=lossy, drop_b_to_a=lossy)
+        sub_end, sub_broker_end = make_sync_pair(drop_a_to_b=lossy, drop_b_to_a=lossy)
+        broker.attach(pub_broker_end)
+        broker.attach(sub_broker_end)
+        publisher = MqttClient("pub", clock=clock)
+        subscriber = MqttClient("sub", clock=clock)
+        self._handshake(publisher, pub_end, clock)
+        self._handshake(subscriber, sub_end, clock)
+        self._subscribe(subscriber, clock, broker)
+        received: set[bytes] = set()
+        subscriber.on_message = lambda topic, payload: received.add(payload)
+
+        def tick():
+            publisher.tick()
+            subscriber.tick()
+            broker.tick()
+
+        total = 70_000
+        with caplog.at_level(logging.WARNING, logger="atmosphere.mqtt"):
+            for i in range(total):
+                publisher.publish("t", b"%d" % i, qos=1)
+                clock.advance(1)
+                if i % 10 == 0:
+                    tick()
+            sessions = list(broker._sessions)
+            for _ in range(100):
+                if not publisher.inflight and not any(s.inflight for s in sessions):
+                    break
+                clock.advance(100)
+                tick()
+        assert len(received) == total, f"only {len(received)}/{total} delivered"
+        assert not [r for r in caplog.records if "giving up" in r.getMessage()]
+        assert broker.session_count() == 2
+        assert all(s.connected for s in sessions)
+        assert publisher.connected and subscriber.connected
+        assert publisher.inflight == {}
+        assert all(s.inflight == {} for s in sessions)
 
     def _handshake(self, client, endpoint, clock):
         for _ in range(50):

@@ -224,17 +224,16 @@ class TestTierSeparation:
     def test_edges_touch_only_their_fog_topics(self, hospital):
         from atmosphere.harness.runner import Deployment, LogicalClock, resolve_run
 
-        deployment = Deployment(hospital, resolve_run(hospital, None), LogicalClock(), sync=True)
+        deployment = Deployment(hospital, resolve_run(hospital, None), LogicalClock(), link="sync")
         try:
-            edge_ids = {e.id for e in hospital.edges}
-            fog_by_edge = {e.id: e.fog for e in hospital.edges}
-            for client_id, role, subscriptions in deployment.connection_registry:
-                if client_id in edge_ids:
-                    assert role == "edge"
-                    for topic in subscriptions:
-                        assert topic.startswith(fog_by_edge[client_id] + "/"), (
-                            f"edge {client_id} holds a non-fog subscription {topic}"
-                        )
+            sessions = {s.client_id: s for s in deployment.broker._sessions if s.connected}
+            for edge_cfg in hospital.edges:
+                filters = [f for f, _ in sessions[edge_cfg.id].subscriptions]
+                assert filters, f"edge {edge_cfg.id} holds no subscription"
+                for topic in filters:
+                    assert topic.startswith(edge_cfg.fog + "/"), (
+                        f"edge {edge_cfg.id} holds a non-fog subscription {topic}"
+                    )
         finally:
             deployment.close()
 
@@ -245,7 +244,7 @@ class TestTierSeparation:
         from atmosphere.harness.runner import Deployment, LogicalClock, resolve_run
 
         clock = LogicalClock()
-        deployment = Deployment(hospital, resolve_run(hospital, None), clock, sync=True)
+        deployment = Deployment(hospital, resolve_run(hospital, None), clock, link="sync")
         try:
             nodes = list(deployment.fogs.values()) + list(deployment.clouds.values())
             for step_at, edge_id in ((1000, "r301"), (2000, "r302")):
@@ -303,7 +302,7 @@ class TestEdgePumping:
             config = self.rooms(tmp_path, count)
             clock = runner_mod.LogicalClock()
             deployment = runner_mod.Deployment(
-                config, runner_mod.resolve_run(config, None), clock, sync=True
+                config, runner_mod.resolve_run(config, None), clock, link="sync"
             )
             try:
                 calls[0] = 0
@@ -328,6 +327,8 @@ class TestProcessesMode:
         assert completed == 60
         assert report.counters["publish"] == 2 * completed
         assert report.counters["puback"] == 2 * completed
+        nodes = {node_id for _, node_id, _ in report.cpu_samples}
+        assert nodes == {"core"} | {edge.id for edge in bench.edges}
 
     def test_event_time_with_processes_rejected(self, bench):
         with pytest.raises(ConfigError):
