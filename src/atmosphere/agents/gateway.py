@@ -34,21 +34,36 @@ UNDELIVERABLE_STREAM = "Undeliverable"
 class GatewayRegistry:
     """Agent membership plus per-agent FIFO queues.
 
-    ``ready`` holds, in the order they got one, the ids of the agents whose
-    queue got a message since it was last flushed.
+    Every message put in a queue gets a dispatch number, kept in step with it
+    in ``numbers``; a message queued for several agents shares one number, and
+    numbers never decrease along a queue. ``ready`` holds, in the order they
+    got one, the ids of the agents whose queue got a message since it was
+    last flushed.
     """
 
     def __init__(self):
         self.queues: dict[str, deque] = {}
+        self.numbers: dict[str, deque] = {}
         self.services: dict[str, Callable[[AclMessage], list[AclMessage]]] = {}
         self.ready: dict[str, None] = {}
+        self._dispatched = 0
 
     def register_agent(self, agent_id: str) -> None:
         if agent_id not in self.queues:
             self.queues[agent_id] = deque()
+            self.numbers[agent_id] = deque()
 
     def register_service(self, service_id: str, handler) -> None:
         self.services[service_id] = handler
+
+    def next_number(self) -> int:
+        self._dispatched += 1
+        return self._dispatched
+
+    def enqueue(self, agent_id: str, number: int, message: AclMessage) -> None:
+        self.queues[agent_id].append(message)
+        self.numbers[agent_id].append(number)
+        self.ready[agent_id] = None
 
     def dispatch(self, message: AclMessage) -> list[AclMessage]:
         """Enqueue FIFO to each receiver; returns service replies.
@@ -60,32 +75,32 @@ class GatewayRegistry:
         if message.sender not in self.queues and message.sender not in self.services:
             raise GatewayError(f"unregistered sender {message.sender!r}")
         replies: list[AclMessage] = []
+        number = self.next_number()
         if message.receivers == BROADCAST:
-            for agent_id, queue in self.queues.items():
+            for agent_id in self.queues:
                 if agent_id != message.sender:
-                    queue.append(message)
-                    self.ready[agent_id] = None
+                    self.enqueue(agent_id, number, message)
             return replies
         for receiver in message.receivers:
             if receiver in self.queues:
-                self.queues[receiver].append(message)
-                self.ready[receiver] = None
+                self.enqueue(receiver, number, message)
             elif receiver in self.services:
                 try:
                     replies.extend(self.services[receiver](message) or [])
                 except Exception:
                     logger.exception("service %s failed", receiver)
             else:
-                self.queues[message.sender].append(
-                    AclMessage(
-                        performative="INFORM",
-                        sender=GATEWAY_ADDRESS,
-                        receivers=(message.sender,),
-                        content={"stream": UNDELIVERABLE_STREAM, "receiver": receiver},
-                        sent_at=message.sent_at,
-                    )
+                notice = AclMessage(
+                    performative="INFORM",
+                    sender=GATEWAY_ADDRESS,
+                    receivers=(message.sender,),
+                    content={"stream": UNDELIVERABLE_STREAM, "receiver": receiver},
+                    sent_at=message.sent_at,
                 )
-                self.ready[message.sender] = None
+                self.enqueue(message.sender, self.next_number(), notice)
+                # later receivers get the message under a number past the
+                # notice's, so that no queue's numbers ever decrease
+                number = self.next_number()
         return replies
 
     def drain(self, agent_id: str) -> list[AclMessage]:
@@ -95,6 +110,7 @@ class GatewayRegistry:
             return []
         out = list(queue)
         queue.clear()
+        self.numbers[agent_id].clear()
         return out
 
 
@@ -149,42 +165,56 @@ class GatewayServer:
     def deliver(self, message: AclMessage) -> None:
         """Gateway-origin delivery (service replies, node notices)."""
         with self._lock:
-            receivers = (
-                [a for a in self.registry.queues if a != message.sender]
-                if message.receivers == BROADCAST
-                else list(message.receivers)
-            )
+            registry = self.registry
+            number = registry.next_number()
+            if message.receivers == BROADCAST:
+                receivers = [a for a in registry.queues if a != message.sender]
+            else:
+                receivers = [r for r in message.receivers if r in registry.queues]
             for receiver in receivers:
-                if receiver in self.registry.queues:
-                    self.registry.queues[receiver].append(message)
-                    self.registry.ready[receiver] = None
+                registry.enqueue(receiver, number, message)
             self._flush()
 
     def _flush(self) -> None:
-        ready = self.registry.ready
-        for agent_id in list(ready):
+        """Send the queues of the ready agents whose channel is registered,
+        one frame per (message, channel) naming that channel's receivers.
+
+        The queues are walked in dispatch-number order, so each agent gets
+        its messages in dispatch order, those held for a late channel first.
+        An agent whose channel has not registered stays queued and ready.
+        """
+        registry = self.registry
+        # dispatch number -> (message, channel -> the agents it is sent to there)
+        pending: dict[int, tuple[AclMessage, dict]] = {}
+        for agent_id in list(registry.ready):
             channel = self._agent_channel.get(agent_id)
             if channel is None:
                 continue  # stays queued until the agent's channel registers
-            queue = self.registry.queues[agent_id]
-            while queue:
-                message = queue.popleft()
+            queue = registry.queues[agent_id]
+            numbers = registry.numbers[agent_id]
+            for number, message in zip(numbers, queue):
+                slot = pending.get(number)
+                if slot is None:
+                    slot = pending[number] = (message, {})
+                slot[1].setdefault(channel, []).append(agent_id)
+            queue.clear()
+            numbers.clear()
+            del registry.ready[agent_id]
+        # numbers never decrease along a queue, so this keeps each agent's order
+        for number in sorted(pending):
+            message, by_channel = pending[number]
+            for channel, names in by_channel.items():
+                frame = message
+                if message.receivers == BROADCAST or len(names) < len(message.receivers):
+                    frame = AclMessage(
+                        performative=message.performative,
+                        sender=message.sender,
+                        receivers=tuple(names),
+                        content=message.content,
+                        sent_at=message.sent_at,
+                    )
                 self.counters["acl_out"] += 1
-                channel.endpoint.send(encode_acl(_addressed(message, agent_id)))
-            ready.pop(agent_id, None)
-
-
-def _addressed(message: AclMessage, receiver: str) -> AclMessage:
-    """Rewrite broadcast fan-out as a directly-addressed copy for the wire."""
-    if message.receivers == BROADCAST or len(message.receivers) > 1:
-        return AclMessage(
-            performative=message.performative,
-            sender=message.sender,
-            receivers=(receiver,),
-            content=message.content,
-            sent_at=message.sent_at,
-        )
-    return message
+                channel.endpoint.send(encode_acl(frame))
 
 
 class _Channel:

@@ -44,6 +44,10 @@ class AclMessage:
         return value if isinstance(value, str) else None
 
 
+# built once: ``json.dumps`` with these options builds a new encoder per call
+_ACL_JSON = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+
+
 def encode_acl(message: AclMessage) -> bytes:
     doc = {
         "performative": message.performative,
@@ -52,7 +56,7 @@ def encode_acl(message: AclMessage) -> bytes:
         "content": message.content,
         "sent_at": message.sent_at,
     }
-    body = json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    body = _ACL_JSON.encode(doc).encode("utf-8")
     return struct.pack(">I", len(body)) + body
 
 

@@ -6,14 +6,16 @@ Each process builds its part with :class:`.runner.Deployment` over ``tcp``
 links, placed by a :class:`.runner.Placement`, and runs it with
 :func:`.runner.drive`: the code above the transport is identical to the
 in-process driver. This module spawns the processes, hands the core's ports
-to the edges, stops the core once every edge has reported, and merges the
-partial reports.
+to the edges, sets the shared stop once every edge has drained, and merges
+the partial reports.
 """
 
 from __future__ import annotations
 
+import logging
 import multiprocessing as mp
 import queue
+import threading
 import time
 
 from ..errors import ConfigError
@@ -21,24 +23,55 @@ from . import runner
 from .config import RunDefaults, ScenarioConfig
 from .metrics import RunReport
 
+logger = logging.getLogger(__name__)
+
 STARTUP_TIMEOUT_S = 15.0
 # past the run's duration: the edges' drain (up to 10 s) and teardown
 REPORT_GRACE_S = 30.0
 
 
+class _Peers:
+    """Ties one process of a split run to the others (see :func:`.runner.drive`).
+
+    Every edge waits at ``start`` until all edges have subscribed, so that
+    none misses the first echoes of another on the shared fog output topic.
+    Every edge reports on ``drained_q`` once its own round trips have
+    drained, then stays connected until ``stop``: the other edges' echoes
+    keep reaching it until they have drained too. The core only waits for
+    ``stop``.
+    """
+
+    def __init__(self, stop, start=None, drained_q=None, label: str = "core"):
+        self.stop = stop
+        self.start = start
+        self.drained_q = drained_q
+        self.label = label
+
+    def ready(self) -> None:
+        if self.start is None:
+            return
+        try:
+            self.start.wait(STARTUP_TIMEOUT_S)
+        except threading.BrokenBarrierError:
+            logger.warning("%s: not every edge started; sending anyway", self.label)
+
+    def drained(self) -> None:
+        if self.drained_q is not None:
+            self.drained_q.put(self.label)
+        self.stop.wait()
+
+
 def _host(config: ScenarioConfig, run: RunDefaults, rate_override, placement, ports_q,
-          stop, reports_q) -> None:
+          peers: _Peers, reports_q) -> None:
     """One process: build this placement's part, run it, send its report.
 
-    The core hands its ports over as soon as it serves them and runs until
-    ``stop``; an edge reports once it has drained.
+    The core hands its ports over as soon as it serves them.
     """
     clock = runner.WallClock()
     deployment = runner.Deployment(config, run, clock, "tcp", placement)
     if placement.core:
         ports_q.put(deployment.ports)
-    until = stop if placement.core else None
-    reports_q.put(runner.drive(deployment, rate_override, until))
+    reports_q.put(runner.drive(deployment, rate_override, peers))
 
 
 def run_in_processes(config: ScenarioConfig, run: RunDefaults, rate_override) -> RunReport:
@@ -46,19 +79,21 @@ def run_in_processes(config: ScenarioConfig, run: RunDefaults, rate_override) ->
         raise ConfigError("scripted timelines need the in-process event_time driver")
     ctx = mp.get_context("fork")
     stop = ctx.Event()
+    start = ctx.Barrier(max(1, len(config.edges)))  # a barrier needs a party
     ports_q = ctx.Queue()
+    drained_q = ctx.Queue()
     reports_q = ctx.Queue()
 
-    def spawn(name: str, placement: runner.Placement):
+    def spawn(name: str, placement: runner.Placement, peers: _Peers):
         proc = ctx.Process(
             target=_host,
-            args=(config, run, rate_override, placement, ports_q, stop, reports_q),
+            args=(config, run, rate_override, placement, ports_q, peers, reports_q),
             name=name,
         )
         proc.start()
         return proc
 
-    core = spawn("core", runner.Placement(edges=()))
+    core = spawn("core", runner.Placement(edges=()), _Peers(stop))
     try:
         ports = ports_q.get(timeout=STARTUP_TIMEOUT_S)
     except queue.Empty:
@@ -66,16 +101,17 @@ def run_in_processes(config: ScenarioConfig, run: RunDefaults, rate_override) ->
         raise ConfigError("core process failed to start") from None
     edge_procs = [
         spawn(f"edge-{edge_cfg.id}",
-              runner.Placement(core=False, edges=(edge_cfg.id,), core_ports=ports))
+              runner.Placement(core=False, edges=(edge_cfg.id,), core_ports=ports),
+              _Peers(stop, start, drained_q, edge_cfg.id))
         for edge_cfg in config.edges
     ]
 
     deadline = time.monotonic() + run.duration_s + REPORT_GRACE_S
     try:
-        reports = _gather(reports_q, edge_procs, deadline)
+        _gather(drained_q, edge_procs, deadline)
     finally:
         stop.set()
-    reports += _gather(reports_q, [core], time.monotonic() + REPORT_GRACE_S)
+    reports = _gather(reports_q, [core] + edge_procs, time.monotonic() + REPORT_GRACE_S)
     for proc in [core] + edge_procs:
         proc.join(timeout=5.0)
         if proc.is_alive():
@@ -83,17 +119,17 @@ def run_in_processes(config: ScenarioConfig, run: RunDefaults, rate_override) ->
     return _merge(reports)
 
 
-def _gather(reports_q, procs: list, deadline: float) -> list[RunReport]:
-    """One report per process of ``procs``, or fewer once the deadline
-    passes or every one of them has exited."""
-    reports = []
-    while len(reports) < len(procs) and time.monotonic() < deadline:
+def _gather(q, procs: list, deadline: float) -> list:
+    """One item from ``q`` per process of ``procs``, or fewer once the
+    deadline passes or every one of them has exited."""
+    items = []
+    while len(items) < len(procs) and time.monotonic() < deadline:
         try:
-            reports.append(reports_q.get(timeout=1.0))
+            items.append(q.get(timeout=1.0))
         except queue.Empty:
             if not any(proc.is_alive() for proc in procs):
                 break
-    return reports
+    return items
 
 
 def _merge(reports: list[RunReport]) -> RunReport:

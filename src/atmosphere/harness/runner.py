@@ -571,11 +571,14 @@ def _collect(deployment: Deployment, sink: MetricsSink, run: RunDefaults,
 # -- processing-time driver ----------------------------------------------------------
 
 
-def drive(deployment: Deployment, rate_override, until=None) -> RunReport:
+def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
     """Run ``deployment`` in processing time and report on the nodes it hosts.
 
-    Runs the hosted edges' simulators to their end, waits for the event
-    ``until`` if one is given, then for in-flight round trips and QoS 1 acks.
+    Runs the hosted edges' simulators to their end and waits for in-flight
+    round trips and QoS 1 acks. ``peers`` ties this process to the others of
+    a split run: ``peers.ready()`` returns once this one may start sending,
+    and ``peers.drained()`` once the whole run has drained. This process
+    stays connected until then, and waits for in-flight traffic once more.
     """
     config, run, clock = deployment.config, deployment.run, deployment.clock
     sink = MetricsSink(run.qos, run.mode)
@@ -650,11 +653,23 @@ def drive(deployment: Deployment, rate_override, until=None) -> RunReport:
                 logger.error("simulator emit failed: %s", exc)
                 return
 
+    def drain():
+        """Let in-flight round trips and QoS 1 acks finish, for up to 10 s."""
+        drain_deadline = time.monotonic() + 10.0
+        while time.monotonic() < drain_deadline:
+            if saturated.is_set():
+                return
+            if sink.in_flight == 0 and all(c.inflight_count() == 0 for c in deployment.clients):
+                return
+            time.sleep(0.02)
+
     # rids are unique across the processes of a split run
     edge_ids = [edge_cfg.id for edge_cfg in config.edges]
     first = min((edge_ids.index(edge_id) for edge_id in deployment.edges), default=0)
     rid_counter = [first * RID_SPACE]
     rid_lock = threading.Lock()
+    if peers is not None:
+        peers.ready()
     if run.mode == "full":
         for edge in deployment.edges.values():
             edge.start_timers(clock())
@@ -675,16 +690,10 @@ def drive(deployment: Deployment, rate_override, until=None) -> RunReport:
     try:
         for thread in sim_threads:
             thread.join(timeout=max(0.0, deadline - time.monotonic()) + 5.0)
-        if until is not None:
-            until.wait()
-        # drain: let in-flight round trips and qos-1 acks finish
-        drain_deadline = time.monotonic() + 10.0
-        while time.monotonic() < drain_deadline:
-            if saturated.is_set():
-                break
-            if sink.in_flight == 0 and all(c.inflight_count() == 0 for c in deployment.clients):
-                break
-            time.sleep(0.02)
+        drain()
+        if peers is not None:
+            peers.drained()
+            drain()
     finally:
         stop.set()
         for thread in threads:

@@ -193,10 +193,11 @@ class Broker:
 
     def feed(self, session: Session, data: bytes) -> None:
         with self._lock:
-            session.buffer.extend(data)
-            while True:
+            buffer = session.buffer
+            buffer.extend(data)
+            while buffer:
                 try:
-                    decoded = decode_packet(bytes(session.buffer))
+                    decoded = decode_packet(buffer)
                 except AtmosphereError as exc:
                     logger.warning("dropping %s: %s", session.client_id or "<pending>", exc)
                     self._drop(session)
@@ -204,7 +205,7 @@ class Broker:
                 if decoded is None:
                     break
                 packet, consumed = decoded
-                del session.buffer[:consumed]
+                del buffer[:consumed]
                 self._handle(session, packet)
         self._drain_internal()
 

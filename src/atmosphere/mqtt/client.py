@@ -125,10 +125,11 @@ class MqttClient:
 
     def _feed(self, data: bytes) -> None:
         with self._lock:
-            self._buffer.extend(data)
-            while True:
+            buffer = self._buffer
+            buffer.extend(data)
+            while buffer:
                 try:
-                    decoded = decode_packet(bytes(self._buffer))
+                    decoded = decode_packet(buffer)
                 except AtmosphereError as exc:
                     logger.error("%s: protocol error: %s", self.client_id, exc)
                     self.disconnect()
@@ -136,7 +137,7 @@ class MqttClient:
                 if decoded is None:
                     return
                 packet, consumed = decoded
-                del self._buffer[:consumed]
+                del buffer[:consumed]
                 self._handle(packet)
 
     def _handle(self, packet) -> None:

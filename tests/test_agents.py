@@ -471,6 +471,112 @@ class TestGatewayChannels:
         assert server.registry.ready == {}
 
 
+def value_message(sender, receivers, value):
+    return AclMessage("INFORM", sender, receivers, {"stream": "S", "fields": {"value": value}}, value)
+
+
+class TestGatewayFrames:
+    """One frame per (message, channel), naming that channel's receivers."""
+
+    def channel(self, server, agent_ids, register=True):
+        client_end, server_end = make_sync_pair()
+        server.attach_channel(server_end)
+        client = GatewayClient(f"edge-{agent_ids[0]}")
+        client.connect(client_end)
+        frames = []
+        client.on_message = frames.append
+        if register:
+            client.register(list(agent_ids))
+        return client, frames
+
+    @staticmethod
+    def inbox(frames, agent_id):
+        """Values ``agent_id`` got, one per frame naming it, in arrival order."""
+        return [
+            m.content["fields"]["value"] if m.stream == "S" else m.stream
+            for m in frames
+            for r in m.receivers
+            if r == agent_id
+        ]
+
+    def test_one_frame_per_channel_naming_its_receivers(self):
+        server = GatewayServer()
+        sender, _ = self.channel(server, ["s"])
+        _, frames_x = self.channel(server, ["x1", "x2", "x3"])
+        _, frames_y = self.channel(server, ["y1"])
+        sender.send(value_message("s", ("x1", "y1", "x2", "x3"), 7))
+        assert server.counters == {"acl_in": 1, "acl_out": 2}
+        assert [m.receivers for m in frames_x] == [("x1", "x2", "x3")]
+        assert [m.receivers for m in frames_y] == [("y1",)]
+        assert frames_x[0].content == frames_y[0].content == {"stream": "S", "fields": {"value": 7}}
+
+    def test_broadcast_one_frame_per_channel_without_the_sender(self):
+        server = GatewayServer()
+        _, frames_x = self.channel(server, ["x1", "x2"])
+        sender, frames_y = self.channel(server, ["y1", "s"])
+        sender.send(value_message("s", BROADCAST, 1))
+        assert server.counters == {"acl_in": 1, "acl_out": 2}
+        assert [m.receivers for m in frames_x] == [("x1", "x2")]
+        assert [m.receivers for m in frames_y] == [("y1",)]
+
+    def test_fifo_per_agent_mixing_one_and_many_receivers(self):
+        server = GatewayServer()
+        sender, _ = self.channel(server, ["s"])
+        _, frames = self.channel(server, ["x1", "x2", "x3"])
+        sends = [("x1",), ("x1", "x2", "x3"), ("x2",), ("x3", "x1"), ("x2", "x3"), ("x1",)]
+        # queue all but the last without a flush, so that one flush walks them all
+        for value, receivers in enumerate(sends[:-1]):
+            server.registry.dispatch(value_message("s", receivers, value))
+        sender.send(value_message("s", sends[-1], len(sends) - 1))
+        for agent_id in ("x1", "x2", "x3"):
+            expected = [v for v, receivers in enumerate(sends) if agent_id in receivers]
+            assert self.inbox(frames, agent_id) == expected
+        assert server.counters["acl_out"] == len(sends)  # one channel: one frame each
+        assert server.registry.ready == {}
+
+    def test_late_channel_gets_held_messages_first_and_once(self):
+        server = GatewayServer()
+        sender, _ = self.channel(server, ["s"])
+        _, frames_x = self.channel(server, ["x1"])
+        late, frames_y = self.channel(server, ["y1"], register=False)
+        server.registry.register_agent("y1")  # known, but no channel yet
+        for value, receivers in enumerate([("x1", "y1"), ("y1",), ("y1", "x1")]):
+            sender.send(value_message("s", receivers, value))
+            # the receiver whose channel is up is not held back
+            assert self.inbox(frames_x, "x1") == [v for v in (0, 2) if v <= value]
+        assert frames_y == []
+        late.register(["y1"])
+        sender.send(value_message("s", ("x1", "y1"), 3))
+        sender.send(value_message("s", ("y1",), 4))
+        assert self.inbox(frames_y, "y1") == [0, 1, 2, 3, 4]
+        assert self.inbox(frames_x, "x1") == [0, 2, 3]
+        assert server.registry.ready == {}
+
+    def test_undeliverable_notice_keeps_its_place(self):
+        server = GatewayServer()
+        sender, frames = self.channel(server, ["x1", "x2"])
+        sender.send(value_message("x1", ("x2", "ghost", "x1"), 5))
+        assert self.inbox(frames, "x2") == [5]
+        assert self.inbox(frames, "x1") == [UNDELIVERABLE_STREAM, 5]
+
+    def test_service_reply_through_deliver_is_grouped(self):
+        server = GatewayServer()
+        server.register_service(
+            "fan", lambda message: [value_message("fan", ("x1", "y1", "x2"), 9)]
+        )
+        sender, _ = self.channel(server, ["s"])
+        _, frames_x = self.channel(server, ["x1", "x2"])
+        _, frames_y = self.channel(server, ["y1"])
+        sender.send(value_message("s", ("fan",), 0))
+        assert server.counters == {"acl_in": 1, "acl_out": 2}
+        assert [m.receivers for m in frames_x] == [("x1", "x2")]
+        assert [m.receivers for m in frames_y] == [("y1",)]
+        server.deliver(value_message("$gateway", BROADCAST, 10))
+        assert server.counters["acl_out"] == 5  # one more frame per channel
+        assert [m.receivers for m in frames_x[1:]] == [("x1", "x2")]
+        assert [m.receivers for m in frames_y[1:]] == [("y1",)]
+
+
 class TestScriptedLoopGoldenLog:
     def test_deterministic_effect_log(self):
         """Two agents behind a registry, scripted stimuli, hand-derived log."""

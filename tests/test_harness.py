@@ -330,6 +330,30 @@ class TestProcessesMode:
         nodes = {node_id for _, node_id, _ in report.cpu_samples}
         assert nodes == {"core"} | {edge.id for edge in bench.edges}
 
+    def test_two_edges_count_every_echo(self, tmp_path):
+        """Each edge gets every echo on the shared fog output topic, its own
+        and the other edge's, so none may leave before the other has drained."""
+        doc = json.loads((SCENARIOS / "bench.json").read_text("utf-8"))
+        fog = doc["topology"]["fogs"][0]
+        fog["patterns"] = [str(SCENARIOS / path) for path in fog["patterns"]]
+        edge = json.dumps(doc["topology"]["edges"][0])
+        doc["topology"]["edges"].append(json.loads(edge.replace('"e1', '"e2')))
+        sim = dict(doc["simulators"][0], edge="e2")
+        doc["simulators"].append(sim)
+        path = tmp_path / "two_edges.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        config = load_scenario(path)
+        overrides = RunOverrides(rate=50, duration_s=2, qos=1, mode="full", warmup_s=0,
+                                 clock="processing_time")
+        in_process = run_scenario(config, overrides)
+        assert in_process.round_trips["completed"] == 200
+        assert in_process.counters["publish"] == in_process.counters["puback"] == 600
+        for _ in range(3):
+            report = run_scenario(config, overrides, processes=True)
+            assert report.round_trips["completed"] == 200
+            assert report.counters["publish"] == in_process.counters["publish"]
+            assert report.counters["puback"] == in_process.counters["puback"]
+
     def test_event_time_with_processes_rejected(self, bench):
         with pytest.raises(ConfigError):
             run_scenario(bench, RunOverrides(clock="event_time"), processes=True)

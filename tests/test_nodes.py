@@ -17,7 +17,7 @@ from atmosphere.nodes import (
     UserNode,
     topics,
 )
-from atmosphere.agents import GatewayClient, GatewayServer, parse_agent_spec
+from atmosphere.agents import AclMessage, GatewayClient, GatewayServer, parse_agent_spec
 from atmosphere.patterns import parse_pattern
 from atmosphere.transport import make_sync_pair
 
@@ -356,6 +356,21 @@ class TestEdgeNode:
         registry, broker, fog, gateway, edge = self.build()
         assert len(gateway.registry.queues) == 6
         assert broker.session_count() == 1  # one broker session for the whole edge
+
+    def test_one_gateway_frame_lands_in_each_named_mailbox_once(self):
+        registry, broker, fog, gateway, edge = self.build()
+        named = ("e1.a1", "e1.a3", "e1.a4")
+        gateway.deliver(
+            AclMessage("INFORM", "svc", named, {"stream": "Echo", "fields": {"value": 1}}, 5)
+        )
+        assert gateway.counters["acl_out"] == 1
+        assert edge.gateway_client.counters["acl_received"] == 1
+        for agent_id, mailbox in edge.mailboxes.items():
+            assert len(mailbox) == (1 if agent_id in named else 0)
+        edge.pump()
+        from atmosphere.agents import LogLine
+
+        assert sorted(e.agent_id for e in edge.effect_log if isinstance(e, LogLine)) == list(named)
 
     def test_fog_emission_stimulates_matching_agents(self):
         registry, broker, fog, gateway, edge = self.build()
