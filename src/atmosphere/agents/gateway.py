@@ -120,17 +120,12 @@ class GatewayServer:
     def __init__(self):
         self.registry = GatewayRegistry()
         self._lock = threading.RLock()
-        self._channels: list[_Channel] = []
         self._agent_channel: dict[str, _Channel] = {}
         self.counters = {"acl_in": 0, "acl_out": 0}
 
     def attach_channel(self, endpoint: Endpoint) -> None:
         channel = _Channel(endpoint)
         endpoint.on_receive = lambda data: self._on_data(channel, data)
-        with self._lock:
-            self._channels.append(channel)
-        if hasattr(endpoint, "start"):
-            endpoint.start()
 
     def register_service(self, service_id: str, handler) -> None:
         with self._lock:
@@ -236,8 +231,6 @@ class GatewayClient:
     def connect(self, endpoint: Endpoint) -> None:
         self._endpoint = endpoint
         endpoint.on_receive = self._feed
-        if hasattr(endpoint, "start"):
-            endpoint.start()
 
     def register(self, agent_ids: list[str], at: int = 0) -> None:
         self.send(

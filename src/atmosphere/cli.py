@@ -76,27 +76,27 @@ def run(scenario_path, rate, qos, duration_s, mode, clock, seed, warmup_s, out_d
 @click.option("--host", default="127.0.0.1", show_default=True)
 @click.option("--port", type=int, default=1883, show_default=True)
 def broker(host, port):
-    """Serve a standalone broker over TCP (for third-party MQTT clients)."""
+    """Serve a standalone broker over TCP (for third-party MQTT clients) until SIGINT or SIGTERM."""
     import signal
-    import threading
 
     from .mqtt import Broker
-    from .transport import TcpServer
+    from .transport import Loop, TcpServer, every
 
     core = Broker()
+    loop = Loop()
     try:
-        server = TcpServer(host, port, core.attach)
+        server = TcpServer(host, port, core.attach, loop)
     except AtmosphereError as exc:
         raise click.ClickException(str(exc)) from None
     click.echo(f"broker listening on {host}:{server.port}", err=True)
-    stop = threading.Event()
-    signal.signal(signal.SIGINT, lambda *_: stop.set())
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
+    signals = []
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda signum, frame: signals.append(signum))
+    loop.start(every(0.2, core.tick))
     try:
-        while not stop.wait(0.2):
-            core.tick()
+        loop.run_until(lambda: signals)
     finally:
-        server.close()
+        loop.close()
 
 
 @main.command()

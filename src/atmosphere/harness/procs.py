@@ -3,7 +3,7 @@ nodes, user client) in one OS process and each edge node in its own, talking
 over local TCP. Used by ``run --processes`` for wall-clock bench runs.
 
 Each process builds its part with :class:`.runner.Deployment` over ``tcp``
-links, placed by a :class:`.runner.Placement`, and runs it with
+links, placed by a :class:`.runner.Placement`, and runs it on one loop with
 :func:`.runner.drive`: the code above the transport is identical to the
 in-process driver. This module spawns the processes, hands the core's ports
 to the edges, sets the shared stop once every edge has drained, and merges
@@ -38,7 +38,7 @@ class _Peers:
     Every edge reports on ``drained_q`` once its own round trips have
     drained, then stays connected until ``stop``: the other edges' echoes
     keep reaching it until they have drained too. The core only waits for
-    ``stop``.
+    ``stop``, which its loop checks on a timer while it goes on routing.
     """
 
     def __init__(self, stop, start=None, drained_q=None, label: str = "core"):
@@ -58,7 +58,6 @@ class _Peers:
     def drained(self) -> None:
         if self.drained_q is not None:
             self.drained_q.put(self.label)
-        self.stop.wait()
 
 
 def _host(config: ScenarioConfig, run: RunDefaults, rate_override, placement, ports_q,

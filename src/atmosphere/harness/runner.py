@@ -2,19 +2,20 @@
 timeline, measures round trips, and produces a :class:`RunReport`.
 
 One builder, :class:`Deployment`, wires the nodes over links of one kind:
-``sync`` (synchronous, in-process), ``queue`` (in-process, a pump thread per
-direction) or ``tcp`` (local sockets, for a run split over OS processes, see
-:mod:`.procs`). Its :class:`Placement` says which nodes this process hosts:
-the core tier (broker, gateways, fogs, clouds, user node and feeder) and
-which edges; by default, everything. Two drivers run a deployment:
+``sync`` (synchronous, in-process), ``queue`` (in-process, queued on one
+loop) or ``tcp`` (local sockets on that loop, for a run split over OS
+processes, see :mod:`.procs`). Its :class:`Placement` says which nodes this
+process hosts: the core tier (broker, gateways, fogs, clouds, user node and
+feeder) and which edges; by default, everything. Two drivers run a
+deployment, each on one thread:
 
-* ``event_time``: single-threaded, synchronous links, a logical clock set by
-  the timeline. Byte-identical output for a given seed; used for all
-  correctness runs.
-* ``processing_time`` (:func:`drive`): pump threads and the wall clock; used
-  for the latency/throughput benches, in one process or in each process of a
-  split deployment. Latency is measured on the edge node from publish to the
-  return of the matching complex event.
+* ``event_time``: synchronous links, a logical clock set by the timeline.
+  Byte-identical output for a given seed; used for all correctness runs.
+* ``processing_time`` (:func:`drive`): the deployment's loop, with every send
+  a timer on the wall clock; used for the latency/throughput benches, in one
+  process or in each process of a split deployment. Latency is measured on
+  the edge node from a send's due time to the return of the matching
+  complex event.
 
 The bench convention: every simulator event carries a ``rid`` field, the fog
 echoes it back on the edge output topic, and the edge records the round trip.
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -36,7 +36,7 @@ from ..errors import AtmosphereError, ConfigError
 from ..events import Event, encode_event
 from ..mqtt import Broker, MqttClient
 from ..nodes import CloudNode, EdgeNode, FogNode, UserNode, topics
-from ..transport import TcpServer, connect_tcp, make_queue_pair, make_sync_pair
+from ..transport import Loop, TcpServer, connect_tcp, every, make_queue_pair
 from .config import RunDefaults, ScenarioConfig
 from .generators import EventFactory, emission_times_ms
 from .metrics import MetricsSink, RunReport
@@ -45,11 +45,12 @@ logger = logging.getLogger(__name__)
 
 SATURATION_HIGH_WATER = 1000
 SATURATION_HOLD_S = 5.0
+DRAIN_S = 10.0
+# simulator i numbers its round trips from i * RID_SPACE: unique across processes
+RID_SPACE = 10_000_000
 ECHO_SERVICE = "echo"
 SINK_SERVICE = "svc"
 TCP_HOST = "127.0.0.1"
-# round-trip ids a process numbers from: edge i's process starts at i * RID_SPACE
-RID_SPACE = 10_000_000
 
 
 @dataclass
@@ -129,7 +130,7 @@ def _probe_spec(edge_id: str):
 class Deployment:
     """The nodes of one scenario that ``placement`` puts in this process,
     wired to one broker and per-fog gateways by links of kind ``link``
-    (``sync``, ``queue`` or ``tcp``)."""
+    (``sync``, ``queue`` or ``tcp``); all but sync links run on ``loop``."""
 
     def __init__(self, config: ScenarioConfig, run: RunDefaults, clock, link: str,
                  placement: Placement = Placement()):
@@ -139,8 +140,7 @@ class Deployment:
         self.link = link
         self.placement = placement
         self.registry = config.build_registry()
-        self.queue_endpoints = []
-        self.servers: list[TcpServer] = []
+        self.loop = None if link == "sync" else Loop()
         # under tcp, where the core serves: {"broker": port, "gateways": {fog: port}}
         self.ports = placement.core_ports
         engine_mode = run.clock
@@ -230,23 +230,18 @@ class Deployment:
     # -- wiring ---------------------------------------------------------------
 
     def _serve(self, on_connection) -> int:
-        server = TcpServer(TCP_HOST, 0, on_connection)
-        self.servers.append(server)
-        return server.port
+        return TcpServer(TCP_HOST, 0, on_connection, self.loop).port
 
     def _pair(self, name_a: str, name_b: str, attach):
-        """An in-process link; ``attach`` takes the far end, the near end is returned."""
-        if self.link == "sync":
-            a, b = make_sync_pair(name_a, name_b)
-        else:
-            a, b = make_queue_pair(name_a, name_b)
-            self.queue_endpoints.extend([a, b])
+        """An in-process link, queued on the loop unless sync; ``attach``
+        takes the far end, the near end is returned."""
+        a, b = make_queue_pair(name_a, name_b, self.loop)
         attach(b)
         return a
 
     def _mqtt_client(self, client_id: str) -> MqttClient:
         if self.link == "tcp":
-            endpoint = connect_tcp(TCP_HOST, self.ports["broker"], name=client_id)
+            endpoint = connect_tcp(TCP_HOST, self.ports["broker"], self.loop, name=client_id)
         else:
             endpoint = self._pair(f"{client_id}-c", f"{client_id}-b", self.broker.attach)
         client = MqttClient(client_id, clock=self.clock)
@@ -256,7 +251,8 @@ class Deployment:
 
     def _gateway_client(self, edge_id: str, fog_id: str) -> GatewayClient:
         if self.link == "tcp":
-            endpoint = connect_tcp(TCP_HOST, self.ports["gateways"][fog_id], name=f"{edge_id}-gw")
+            endpoint = connect_tcp(TCP_HOST, self.ports["gateways"][fog_id], self.loop,
+                                   name=f"{edge_id}-gw")
         else:
             endpoint = self._pair(f"{edge_id}-gw-c", f"{edge_id}-gw-s",
                                   self.gateways[fog_id].attach_channel)
@@ -296,12 +292,10 @@ class Deployment:
                 break
             for node in nodes:
                 node.advance(due)
-            if self.link == "sync":
-                self.pump_edges()
+            self.pump_edges()
         for node in nodes:
             node.advance(to_ms)
-        if self.link == "sync":
-            self.pump_edges()
+        self.pump_edges()
 
     def pump_edges(self) -> int:
         """Pump flagged edges, in order, until a pass moves nothing.
@@ -323,8 +317,8 @@ class Deployment:
         for edge in self.edges.values():
             if edge.gateway_client is not None:
                 edge.gateway_client.close()
-        for server in self.servers:
-            server.close()
+        if self.loop is not None:
+            self.loop.close()  # and with it every socket, the servers too
 
     # -- accounting -----------------------------------------------------------------
 
@@ -571,135 +565,105 @@ def _collect(deployment: Deployment, sink: MetricsSink, run: RunDefaults,
 # -- processing-time driver ----------------------------------------------------------
 
 
-def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
-    """Run ``deployment`` in processing time and report on the nodes it hosts.
 
-    Runs the hosted edges' simulators to their end and waits for in-flight
-    round trips and QoS 1 acks. ``peers`` ties this process to the others of
-    a split run: ``peers.ready()`` returns once this one may start sending,
-    and ``peers.drained()`` once the whole run has drained. This process
-    stays connected until then, and waits for in-flight traffic once more.
+
+def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
+    """Run ``deployment`` in processing time on its loop and report on the
+    nodes it hosts: the hosted edges' simulators, each send a task due at,
+    and stamped with, its schedule offset from the clock origin; then the
+    wait for in-flight round trips and acks.
+
+    ``peers`` ties this process to the others of a split run:
+    ``peers.ready()`` returns once this one may start sending, and after
+    ``peers.drained()`` the loop runs on until ``peers.stop`` is set.
     """
-    config, run, clock = deployment.config, deployment.run, deployment.clock
+    config, run, clock, loop = deployment.config, deployment.run, deployment.clock, deployment.loop
     sink = MetricsSink(run.qos, run.mode)
     _wire_probe_hooks(deployment, sink, clock)
-    stop = threading.Event()
-    saturated = threading.Event()
-    threads: list[threading.Thread] = []
     cpu_samples: list[tuple[int, str, float]] = []
+    saturated = stopped = False
+    calm_at = time.monotonic()  # when the ready deque last held no more than the high water
+    sending = 0  # simulators with sends left
 
-    def ticker():
-        while not stop.wait(0.05):
-            now = clock()
-            if deployment.broker is not None:
-                deployment.broker.tick(now)
-            for client in deployment.clients:
-                client.tick(now)
+    def due(at_ms: int) -> float:
+        # from the exact run start: ``clock()`` truncates to whole ms
+        return clock.start + at_ms / 1000.0
 
-    def advancer():
-        while not stop.wait(0.1):
-            deployment.advance_engines(clock())
-
-    def edge_loop():
-        while not stop.wait(0.002):
-            now = clock()
-            if run.mode == "full":
-                for edge in deployment.edges.values():
-                    edge.tick_timers(now)
-            deployment.pump_edges()
-
-    def cpu_sampler():
-        # process CPU time (all threads) over wall time, in percent of one core
-        label = deployment.placement.label
-        last_wall, last_cpu = time.monotonic(), time.process_time()
-        while not stop.wait(0.5):
-            wall, cpu = time.monotonic(), time.process_time()
-            cpu_samples.append((clock(), label, 100.0 * (cpu - last_cpu) / (wall - last_wall)))
-            last_wall, last_cpu = wall, cpu
-
-    def saturation_watch():
-        over_since = None
-        while not stop.wait(0.1):
-            depth = max((e.queue_depth() for e in deployment.queue_endpoints), default=0)
-            if depth > SATURATION_HIGH_WATER:
-                if over_since is None:
-                    over_since = time.monotonic()
-                elif time.monotonic() - over_since > SATURATION_HOLD_S:
-                    saturated.set()
-                    return
-            else:
-                over_since = None
-
-    def simulator(sim, index):
+    def simulate(sim, index):
+        nonlocal sending
         rate = rate_override if rate_override is not None else sim.rate
         factory = EventFactory(sim.generators, seed=run.seed * 1000 + sim.seed + index)
-        schedule = emission_times_ms(rate, run.duration_s)
-        for offset_ms in schedule:
-            if stop.is_set() or saturated.is_set():
-                return
-            # from the exact run start: ``clock()`` truncates to whole ms,
-            # which would leave every send up to 1 ms late
-            delay = clock.start + offset_ms / 1000.0 - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
+        rid = index * RID_SPACE
+        for offset_ms in emission_times_ms(rate, run.duration_s):
+            yield due(offset_ms)
+            if saturated:
+                break
             fields = factory.next_fields()
             if "rid" in fields:
-                with rid_lock:
-                    rid_counter[0] += 1
-                    fields["rid"] = rid_counter[0]
+                rid += 1
+                fields["rid"] = rid
             try:
-                _emit_probe(deployment, sink, sim.edge, sim.stream, fields, clock())
+                _emit_probe(deployment, sink, sim.edge, sim.stream, fields, offset_ms)
             except AtmosphereError as exc:
                 logger.error("simulator emit failed: %s", exc)
-                return
+                break
+        sending -= 1
 
-    def drain():
-        """Let in-flight round trips and QoS 1 acks finish, for up to 10 s."""
-        drain_deadline = time.monotonic() + 10.0
-        while time.monotonic() < drain_deadline:
-            if saturated.is_set():
-                return
-            if sink.in_flight == 0 and all(c.inflight_count() == 0 for c in deployment.clients):
-                return
-            time.sleep(0.02)
+    def agent_timers(edge: EdgeNode):
+        at_ms = clock()
+        edge.start_timers(at_ms)
+        while (at_ms := edge.tick_timers(max(at_ms, clock()))) is not None:
+            yield due(at_ms)
 
-    # rids are unique across the processes of a split run
-    edge_ids = [edge_cfg.id for edge_cfg in config.edges]
-    first = min((edge_ids.index(edge_id) for edge_id in deployment.edges), default=0)
-    rid_counter = [first * RID_SPACE]
-    rid_lock = threading.Lock()
-    if peers is not None:
-        peers.ready()
-    if run.mode == "full":
-        for edge in deployment.edges.values():
-            edge.start_timers(clock())
+    def tick():
+        """QoS 1 re-sends, the saturation watch and the split run's stop."""
+        nonlocal calm_at, saturated, stopped
+        now = clock()
+        if deployment.broker is not None:
+            deployment.broker.tick(now)
+        for client in deployment.clients:
+            client.tick(now)
+        if len(loop.ready) <= SATURATION_HIGH_WATER:
+            calm_at = time.monotonic()
+        elif time.monotonic() - calm_at > SATURATION_HOLD_S:
+            saturated = True
+        stopped = peers is not None and peers.stop.is_set()
 
-    for target in (ticker, advancer, edge_loop, cpu_sampler, saturation_watch):
-        thread = threading.Thread(target=target, name=target.__name__, daemon=True)
-        threads.append(thread)
-        thread.start()
-    sim_threads = []
-    for index, sim in enumerate(config.simulators):
-        if sim.edge not in deployment.edges:
-            continue
-        thread = threading.Thread(target=simulator, args=(sim, index), daemon=True)
-        sim_threads.append(thread)
-        thread.start()
+    def sample_cpu():
+        # process CPU time over wall time, in percent of one core
+        wall, cpu = time.monotonic(), time.process_time()
+        while True:
+            yield wall + 0.5
+            last_wall, last_cpu, wall, cpu = wall, cpu, time.monotonic(), time.process_time()
+            cpu_samples.append((clock(), deployment.placement.label,
+                                100.0 * (cpu - last_cpu) / (wall - last_wall)))
 
-    deadline = time.monotonic() + run.duration_s + 1.0
+    def drained() -> bool:
+        return saturated or (
+            sink.in_flight == 0 and all(c.inflight_count() == 0 for c in deployment.clients)
+        )
+
     try:
-        for thread in sim_threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()) + 5.0)
-        drain()
+        if peers is not None:
+            peers.ready()
+        loop.after_turn = deployment.pump_edges  # it skips edges nothing has flagged
+        for task in (every(0.05, tick), every(0.1, lambda: deployment.advance_engines(clock())),
+                     sample_cpu()):
+            loop.start(task)
+        if run.mode == "full":
+            for edge in deployment.edges.values():
+                loop.start(agent_timers(edge))
+        for index, sim in enumerate(config.simulators):
+            if sim.edge in deployment.edges:
+                sending += 1
+                loop.start(simulate(sim, index))
+        loop.run_until(lambda: not sending or saturated, run.duration_s + 6.0)
+        loop.run_until(drained, DRAIN_S)
         if peers is not None:
             peers.drained()
-            drain()
+            loop.run_until(lambda: stopped)
+            loop.run_until(drained, DRAIN_S)
     finally:
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=2.0)
-        report = _collect(
-            deployment, sink, run, cpu_samples=cpu_samples, saturated=saturated.is_set()
-        )
+        report = _collect(deployment, sink, run, cpu_samples=cpu_samples, saturated=saturated)
         deployment.close()
     return report

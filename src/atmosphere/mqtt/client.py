@@ -51,8 +51,8 @@ class MqttClient:
         self._endpoint: Endpoint | None = None
         self._lock = threading.RLock()
         self._buffer = bytearray()
-        self._connected = threading.Event()
-        self._pending_subacks: dict[int, threading.Event] = {}
+        self._connected = False
+        self._pending_subacks: set[int] = set()
         self.inflight = Inflight()
         self.on_message: Callable[[str, bytes], None] | None = None
         self.counters = {
@@ -64,24 +64,21 @@ class MqttClient:
 
     @property
     def connected(self) -> bool:
-        return self._connected.is_set()
+        return self._connected
 
     def connect(self, endpoint: Endpoint, keep_alive_s: int = 60, timeout_s: float = 5.0) -> None:
         self._endpoint = endpoint
         endpoint.on_receive = self._feed
-        if hasattr(endpoint, "start"):
-            endpoint.start()
         self._send(Connect(client_id=self.client_id, keep_alive_s=keep_alive_s))
-        if not self._connected.wait(timeout_s):
+        if not endpoint.wait_until(lambda: self._connected, timeout_s):
             raise TransportError(f"{self.client_id}: no CONNACK within {timeout_s}s")
 
     def subscribe(self, filters: list[tuple[str, int]], timeout_s: float = 5.0) -> None:
         with self._lock:
             pid = self.inflight.allocate_packet_id(self._pending_subacks)
-            acked = threading.Event()
-            self._pending_subacks[pid] = acked
+            self._pending_subacks.add(pid)
             self._send(Subscribe(packet_id=pid, filters=tuple(filters)))
-        if not acked.wait(timeout_s):
+        if not self._endpoint.wait_until(lambda: pid not in self._pending_subacks, timeout_s):
             raise TransportError(f"{self.client_id}: no SUBACK within {timeout_s}s")
 
     def publish(self, topic: str, payload: bytes, qos: int = 0) -> int | None:
@@ -115,7 +112,7 @@ class MqttClient:
             except AtmosphereError:
                 pass
             self._endpoint.close()
-        self._connected.clear()
+        self._connected = False
 
     def inflight_count(self) -> int:
         with self._lock:
@@ -146,11 +143,9 @@ class MqttClient:
                 logger.error("%s: connection refused (%d)", self.client_id, packet.return_code)
                 self.disconnect()
                 return
-            self._connected.set()
+            self._connected = True
         elif isinstance(packet, SubAck):
-            acked = self._pending_subacks.pop(packet.packet_id, None)
-            if acked is not None:
-                acked.set()
+            self._pending_subacks.discard(packet.packet_id)
         elif isinstance(packet, PubAck):
             self.counters["puback_received"] += 1
             self.inflight.pop(packet.packet_id, None)

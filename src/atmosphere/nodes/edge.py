@@ -69,8 +69,7 @@ class EdgeNode:
         self._timer_count: dict[tuple[str, str], int] = {}
         self._consumers = self._index_consumers()
         # Set after every mailbox append, cleared when ``pump`` starts, so a
-        # driver can skip edges with nothing to do. An append racing the
-        # clear leaves the flag set, and the next pump finds nothing.
+        # driver can skip edges with nothing to do.
         self.has_work = False
 
     # -- attachments -----------------------------------------------------------
@@ -176,7 +175,9 @@ class EdgeNode:
 
     # -- processing --------------------------------------------------------------
 
-    def tick_timers(self, now_ms: int) -> None:
+    def tick_timers(self, now_ms: int) -> int | None:
+        """Fire the timer rules due by ``now_ms``; returns when the next one
+        is due, ``None`` without timers."""
         for agent in self.agents.values():
             for rule in agent.timer_rules():
                 key = (agent.id, rule.id)
@@ -190,6 +191,7 @@ class EdgeNode:
                     )
                     self.has_work = True
                     self._timer_next[key] += period
+        return min(self._timer_next.values(), default=None)
 
     def fire_timer(self, agent_id: str, rule_id: str, at: int) -> None:
         key = (agent_id, rule_id)

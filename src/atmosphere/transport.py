@@ -1,27 +1,31 @@
-"""Byte-stream links between nodes.
+"""Byte-stream links between nodes, and the loop that runs them.
 
 Three interchangeable flavors carry the same traffic:
 
 * :func:`make_sync_pair`: in-process, synchronous delivery; used by the
   deterministic (event-time) harness and by protocol tests, optionally with
   seeded packet loss.
-* :func:`make_queue_pair`: in-process, queue + pump thread per direction;
-  used by the wall-clock benchmark harness so latency includes real queueing.
-* :class:`TcpServer` / :func:`connect_tcp`: plain TCP for live runs.
+* :func:`make_queue_pair`: in-process, queued on a :class:`Loop`; used by
+  the wall-clock benchmark harness so latency includes real queueing.
+* :class:`TcpServer` / :func:`connect_tcp`: plain TCP on a :class:`Loop`.
 
-Endpoints expose ``send(bytes)``, an ``on_receive`` callback slot, and
-``close()``. Framing is the caller's concern (MQTT packets are
-self-delimiting; the gateway uses a 4-byte length prefix).
+One thread runs a loop and its endpoints, which are not thread-safe.
+Endpoints expose ``send(bytes)``, an ``on_receive`` callback slot,
+``wait_until`` and ``close()``. Framing is the caller's concern (MQTT
+packets are self-delimiting; the gateway uses a 4-byte length prefix).
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
-import queue
+import math
+import selectors
 import socket
-import threading
 import time
-from typing import Callable
+from collections import deque
+from typing import Callable, Iterator
 
 from .errors import TransportError
 
@@ -32,8 +36,81 @@ Receiver = Callable[[bytes], None]
 CONNECT_ATTEMPTS = 5
 
 
+class Loop:
+    """One process's scheduler: a ready deque of ``(endpoint, bytes)``
+    deliveries, a timer heap and one selector, all run by :meth:`run_until`
+    on the calling thread; ``after_turn`` runs after each turn. A timer is a
+    task: a generator that yields the ``time.monotonic()`` it next runs at.
+
+    The selector is a ``SelectSelector`` on purpose: epoll rounds its timeout
+    up to a whole millisecond, a lag every timed send would carry. With no
+    socket registered, its wait is a plain sleep.
+    """
+
+    def __init__(self):
+        self.ready: deque = deque()
+        self.selector = selectors.SelectSelector()
+        self.after_turn: Callable[[], None] = lambda: None
+        self._timers: list = []  # heap of (due, seq, task)
+        self._seq = itertools.count()
+
+    def start(self, task: Iterator[float]) -> None:
+        """Run ``task`` to its next yield and keep it until the time it
+        yields; tasks due together run in the order they were kept."""
+        due = next(task, None)
+        if due is not None:
+            heapq.heappush(self._timers, (due, next(self._seq), task))
+
+    def run_until(self, done: Callable[[], bool], timeout_s: float | None = None) -> bool:
+        """Run turns until ``done()`` holds; false if ``timeout_s`` passes first.
+
+        A turn waits for socket events until the next timer or the deadline
+        is due, or only polls while deliveries are queued, then runs the
+        deliveries queued by then and the due timers.
+        """
+        deadline = math.inf if timeout_s is None else time.monotonic() + timeout_s
+        ready, timers = self.ready, self._timers
+        while not done():
+            now = time.monotonic()
+            if now >= deadline:
+                return False
+            wait = 0.0 if ready else min(timers[0][0] if timers else math.inf, deadline) - now
+            if wait > 0.0 or self.selector.get_map():
+                for key, events in self.selector.select(None if wait == math.inf else max(wait, 0.0)):
+                    if events & selectors.EVENT_WRITE:
+                        key.data.on_writable()
+                    if events & selectors.EVENT_READ:
+                        key.data.on_readable()
+            for _ in range(len(ready)):
+                endpoint, data = ready.popleft()
+                try:
+                    endpoint._deliver(data)
+                except Exception:
+                    logger.exception("receiver for %s raised", endpoint.name)
+            now = time.monotonic()
+            while timers and timers[0][0] <= now:
+                self.start(heapq.heappop(timers)[2])
+            self.after_turn()
+        return True
+
+    def close(self) -> None:
+        """Close every socket still registered; the loop runs no more."""
+        for key in list((self.selector.get_map() or {}).values()):
+            key.data.close()
+        self.selector.close()
+
+
+def every(period_s: float, callback: Callable[[], None]) -> Iterator[float]:
+    """A task that runs ``callback`` each time ``period_s`` has passed since its last run."""
+    while True:
+        yield time.monotonic() + period_s
+        callback()
+
+
 class Endpoint:
-    """One end of a bidirectional link."""
+    """One end of a bidirectional link; ``loop`` runs it, ``None`` for sync."""
+
+    loop: Loop | None = None
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -47,6 +124,13 @@ class Endpoint:
 
     def send(self, data: bytes) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def wait_until(self, condition: Callable[[], bool], timeout_s: float) -> bool:
+        """Run this endpoint's loop until ``condition()`` holds; false once
+        ``timeout_s`` passes. A sync endpoint has delivered already."""
+        if self.loop is None:
+            return condition()
+        return self.loop.run_until(condition, timeout_s)
 
     def close(self) -> None:
         if self._closed:
@@ -63,22 +147,26 @@ class Endpoint:
         self.on_receive(data)
 
 
-class _SyncEndpoint(Endpoint):
-    def __init__(self, name: str, drop: Callable[[bytes], bool] | None = None):
+class _PairEndpoint(Endpoint):
+    """One end of an in-process pair: a send reaches the peer at once, or
+    through ``loop``'s ready deque when there is one."""
+
+    def __init__(self, name: str, loop: Loop | None = None,
+                 drop: Callable[[bytes], bool] | None = None):
         super().__init__(name)
-        self.peer: _SyncEndpoint | None = None
+        self.loop = loop
+        self.peer: _PairEndpoint | None = None
         self._drop = drop
-        self.sent = 0
-        self.dropped = 0
 
     def send(self, data: bytes) -> None:
         if self._closed or self.peer is None:
             return
-        self.sent += 1
         if self._drop is not None and self._drop(data):
-            self.dropped += 1
             return
-        self.peer._deliver(data)
+        if self.loop is None:
+            self.peer._deliver(data)
+        else:
+            self.loop.ready.append((self.peer, data))
 
     def close(self) -> None:
         peer = self.peer
@@ -94,110 +182,69 @@ def make_sync_pair(
     drop_b_to_a: Callable[[bytes], bool] | None = None,
 ) -> tuple[Endpoint, Endpoint]:
     """Synchronous in-process pair; ``drop_*`` hooks inject packet loss."""
-    a = _SyncEndpoint(name_a, drop_a_to_b)
-    b = _SyncEndpoint(name_b, drop_b_to_a)
-    a.peer = b
-    b.peer = a
-    return a, b
+    return make_queue_pair(name_a, name_b, None, drop_a_to_b, drop_b_to_a)
 
 
-class _QueueEndpoint(Endpoint):
-    """Delivery decoupled through a queue drained by a pump thread."""
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self.peer: _QueueEndpoint | None = None
-        self._inbox: queue.Queue = queue.Queue()
-        self._pump = threading.Thread(target=self._run, name=f"link-{name}", daemon=True)
-        self._started = False
-
-    def start(self) -> None:
-        if not self._started:
-            self._started = True
-            self._pump.start()
-
-    def queue_depth(self) -> int:
-        return self._inbox.qsize()
-
-    def send(self, data: bytes) -> None:
-        if self._closed or self.peer is None or self.peer.closed:
-            return
-        self.peer._inbox.put(data)
-
-    def _run(self) -> None:
-        while True:
-            data = self._inbox.get()
-            if data is None:
-                return
-            if self._closed:
-                return
-            try:
-                self._deliver(data)
-            except Exception:
-                logger.exception("receiver for %s raised", self.name)
-
-    def close(self) -> None:
-        peer = self.peer
-        already = self._closed
-        super().close()
-        if not already:
-            self._inbox.put(None)
-        if peer is not None and not peer.closed:
-            peer.close()
-
-
-def make_queue_pair(name_a: str = "a", name_b: str = "b") -> tuple[Endpoint, Endpoint]:
-    a = _QueueEndpoint(name_a)
-    b = _QueueEndpoint(name_b)
-    a.peer = b
-    b.peer = a
-    a.start()
-    b.start()
+def make_queue_pair(name_a: str, name_b: str, loop: Loop | None,
+                    drop_a_to_b=None, drop_b_to_a=None) -> tuple[Endpoint, Endpoint]:
+    """In-process pair whose sends wait in ``loop``'s ready deque; without
+    a loop, a sync pair."""
+    a = _PairEndpoint(name_a, loop, drop_a_to_b)
+    b = _PairEndpoint(name_b, loop, drop_b_to_a)
+    a.peer, b.peer = b, a
     return a, b
 
 
 class TcpEndpoint(Endpoint):
-    def __init__(self, sock: socket.socket, name: str = ""):
-        super().__init__(name or str(sock.getpeername()))
-        self._sock = sock
-        self._send_lock = threading.Lock()
-        self._reader = threading.Thread(target=self._read_loop, name=f"tcp-{self.name}", daemon=True)
-        self._started = False
+    """A connected socket on ``loop``; what the kernel does not take at once
+    waits in an outbox until the socket is writable."""
 
-    def start(self) -> None:
-        if not self._started:
-            self._started = True
-            self._reader.start()
+    def __init__(self, sock: socket.socket, loop: Loop, name: str = ""):
+        super().__init__(name or str(sock.getpeername()))
+        sock.setblocking(False)
+        self._sock = sock
+        self.loop = loop
+        self._outbox = bytearray()
+        loop.selector.register(sock, selectors.EVENT_READ, self)
 
     def send(self, data: bytes) -> None:
         if self._closed:
             return
+        flushing = not self._outbox
+        self._outbox += data
+        if flushing:
+            self.on_writable()
+
+    def on_writable(self) -> None:
         try:
-            with self._send_lock:
-                self._sock.sendall(data)
+            sent = self._sock.send(self._outbox)
+        except BlockingIOError:
+            sent = 0
         except OSError as exc:
             logger.debug("send on %s failed: %s", self.name, exc)
             self.close()
+            return
+        del self._outbox[:sent]
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if self._outbox else 0)
+        self.loop.selector.modify(self._sock, events, self)
 
-    def _read_loop(self) -> None:
-        while not self._closed:
-            try:
-                chunk = self._sock.recv(65536)
-            except OSError:
-                break
-            if not chunk:
-                break
-            try:
-                self._deliver(chunk)
-            except Exception:
-                logger.exception("receiver for %s raised", self.name)
-                break
-        self.close()
+    def on_readable(self) -> None:
+        try:
+            chunk = self._sock.recv(65536)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""
+        if chunk:
+            self.loop.ready.append((self, chunk))
+        else:
+            self.close()
 
     def close(self) -> None:
         if self._closed:
             return
         super().close()
+        self.loop.selector.unregister(self._sock)
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -206,51 +253,49 @@ class TcpEndpoint(Endpoint):
 
 
 class TcpServer:
-    """Accept loop handing each connection to ``on_connection(endpoint)``.
+    """Listening socket on ``loop`` handing each connection to
+    ``on_connection(endpoint)``; :meth:`Loop.close` closes it.
 
     The handler must set ``endpoint.on_receive`` before this call returns;
-    the reader thread starts right after.
+    the loop delivers the connection's bytes from its next turn on.
     """
 
-    def __init__(self, host: str, port: int, on_connection: Callable[[TcpEndpoint], None]):
+    def __init__(self, host: str, port: int, on_connection: Callable[[TcpEndpoint], None],
+                 loop: Loop):
         self._on_connection = on_connection
+        self.loop = loop
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
             self._sock.bind((host, port))
         except OSError as exc:
+            self._sock.close()
             raise TransportError(f"cannot bind {host}:{port}: {exc}") from None
         self._sock.listen(128)
+        self._sock.setblocking(False)
         self.port = self._sock.getsockname()[1]
-        self._closed = False
-        self._thread = threading.Thread(target=self._accept_loop, name=f"tcp-accept-{self.port}", daemon=True)
-        self._thread.start()
+        loop.selector.register(self._sock, selectors.EVENT_READ, self)
 
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                conn, addr = self._sock.accept()
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            endpoint = TcpEndpoint(conn, name=f"{addr[0]}:{addr[1]}")
-            try:
-                self._on_connection(endpoint)
-            except Exception:
-                logger.exception("connection handler failed")
-                endpoint.close()
-                continue
-            endpoint.start()
+    def on_readable(self) -> None:
+        try:
+            conn, addr = self._sock.accept()
+        except OSError:
+            return  # the client gave up before the accept
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        endpoint = TcpEndpoint(conn, self.loop, name=f"{addr[0]}:{addr[1]}")
+        try:
+            self._on_connection(endpoint)
+        except Exception:
+            logger.exception("connection handler failed")
+            endpoint.close()
 
     def close(self) -> None:
-        self._closed = True
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        self.loop.selector.unregister(self._sock)
+        self._sock.close()
 
 
-def connect_tcp(host: str, port: int, name: str = "", timeout_s: float = 5.0) -> TcpEndpoint:
+def connect_tcp(host: str, port: int, loop: Loop, name: str = "",
+                timeout_s: float = 5.0) -> TcpEndpoint:
     """Connect, retrying with a growing pause; a clean error once
     ``CONNECT_ATTEMPTS`` attempts have failed."""
     for attempt in range(CONNECT_ATTEMPTS):
@@ -264,6 +309,5 @@ def connect_tcp(host: str, port: int, name: str = "", timeout_s: float = 5.0) ->
         raise TransportError(
             f"cannot connect {host}:{port} after {CONNECT_ATTEMPTS} attempts: {last}"
         )
-    sock.settimeout(None)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return TcpEndpoint(sock, name=name or f"{host}:{port}")
+    return TcpEndpoint(sock, loop, name=name or f"{host}:{port}")

@@ -284,40 +284,32 @@ class TestConnectHook:
 
 class TestTcpTransport:
     def test_qos1_exchange_over_real_sockets(self):
-        import threading
+        from atmosphere.transport import Loop, TcpServer, connect_tcp
 
-        from atmosphere.transport import TcpServer, connect_tcp
-
+        loop = Loop()
         broker = Broker()
-        server = TcpServer("127.0.0.1", 0, broker.attach)
+        server = TcpServer("127.0.0.1", 0, broker.attach, loop)
         try:
             subscriber = MqttClient("sub")
-            subscriber.connect(connect_tcp("127.0.0.1", server.port))
-            got = threading.Event()
+            subscriber.connect(connect_tcp("127.0.0.1", server.port, loop))
             inbox = []
 
             def on_message(topic, payload):
                 inbox.append((topic, payload))
-                got.set()
 
             subscriber.on_message = on_message
             subscriber.subscribe([("f1/in", 1)])
             publisher = MqttClient("pub")
-            publisher.connect(connect_tcp("127.0.0.1", server.port))
+            publisher.connect(connect_tcp("127.0.0.1", server.port, loop))
             publisher.publish("f1/in", b"over-tcp", qos=1)
-            assert got.wait(5.0)
+            assert loop.run_until(lambda: inbox, 5.0)
             assert inbox == [("f1/in", b"over-tcp")]
-            deadline = 50
-            while publisher.inflight_count() and deadline:
-                import time as _time
-
-                _time.sleep(0.02)
-                deadline -= 1
+            loop.run_until(lambda: publisher.inflight_count() == 0, 1.0)
             assert publisher.inflight_count() == 0
             publisher.disconnect()
             subscriber.disconnect()
         finally:
-            server.close()
+            loop.close()
 
 
 class TestLossyLink:

@@ -16,6 +16,8 @@ from atmosphere.harness import (
     run_scenario,
 )
 from atmosphere.harness import runner as runner_mod
+from atmosphere.harness.generators import emission_times_ms
+from atmosphere.mqtt import MqttClient
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -194,6 +196,37 @@ class TestBenchRuns:
         monkeypatch.setattr(runner_mod, "SATURATION_HOLD_S", 0.0)
         report = self.run_bench(bench, qos=0, duration_s=1)
         assert report.saturated is True
+
+
+class TestOneLoop:
+    @staticmethod
+    def copied_to(tmp_path, count):
+        """bench.json with its edge and simulator copied to ``count`` edges."""
+        doc = json.loads((SCENARIOS / "bench.json").read_text("utf-8"))
+        fog = doc["topology"]["fogs"][0]
+        fog["patterns"] = [str(SCENARIOS / path) for path in fog["patterns"]]
+        edge = json.dumps(doc["topology"]["edges"][0])
+        doc["topology"]["edges"] = [json.loads(edge.replace('"e1', f'"e{i}')) for i in range(1, count + 1)]
+        doc["simulators"] = [dict(doc["simulators"][0], edge=f"e{i}") for i in range(1, count + 1)]
+        path = tmp_path / f"bench_{count}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return load_scenario(path)
+
+    @pytest.mark.parametrize("edges", [1, 8])
+    def test_processing_time_run_starts_no_thread(self, tmp_path, monkeypatch, edges):
+        import threading
+
+        starts = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread.name))
+        config = load_scenario(SCENARIOS / "bench.json") if edges == 1 else self.copied_to(tmp_path, edges)
+        report = run_scenario(config, RunOverrides(rate=50, duration_s=1, qos=1, warmup_s=0))
+        assert report.round_trips["completed"] == 50 * edges
+        assert starts == []
+
+    def test_sends_are_stamped_at_their_due_time(self, bench):
+        report = run_scenario(bench, RunOverrides(rate=200, duration_s=1, qos=0, warmup_s=0))
+        assert [r.sent_at for r in report.records] == emission_times_ms(200, 1)
+        assert all(r.latency_ms >= 0 for r in report.records)
 
 
 class TestHospitalRun:
@@ -403,6 +436,42 @@ class TestCli:
         assert result.exit_code == 0, result.output
         rows = [json.loads(line) for line in result.output.splitlines()]
         assert any(r["stream"] == "SurveillanceUnit" for r in rows)
+
+    def test_broker_serves_until_sigterm(self):
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        from atmosphere.transport import Loop, connect_tcp
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "atmosphere.cli", "broker", "--port", "0"],
+                                stderr=subprocess.PIPE, text=True, env=env)
+        loop = Loop()
+        try:
+            line = proc.stderr.readline()
+            assert line.startswith("broker listening on "), line
+            port = int(line.rsplit(":", 1)[1])
+            subscriber = MqttClient("sub")
+            subscriber.connect(connect_tcp("127.0.0.1", port, loop))
+            inbox = []
+            subscriber.on_message = lambda topic, payload: inbox.append((topic, payload))
+            subscriber.subscribe([("f1/in", 1)])
+            publisher = MqttClient("pub")
+            publisher.connect(connect_tcp("127.0.0.1", port, loop))
+            publisher.publish("f1/in", b"to-the-command", qos=1)
+            assert loop.run_until(lambda: inbox and publisher.inflight_count() == 0, 5.0)
+            assert inbox == [("f1/in", b"to-the-command")]
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=5.0) == 0
+        finally:
+            loop.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
 
     def test_run_rejects_bad_scenario(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,0 +1,94 @@
+from __future__ import annotations
+
+import logging
+import time
+
+from atmosphere.mqtt import Broker, MqttClient
+from atmosphere.transport import Loop, TcpServer, connect_tcp, make_queue_pair
+
+
+class TestLoop:
+    def test_deliveries_run_in_fifo_order_across_endpoints(self):
+        loop = Loop()
+        a1, a2 = make_queue_pair("a1", "a2", loop)
+        b1, b2 = make_queue_pair("b1", "b2", loop)
+        got = []
+        for end in (a1, a2, b1, b2):
+            end.on_receive = lambda data, name=end.name: got.append((name, data))
+        sends = [(a1, b"1"), (b2, b"2"), (a2, b"3"), (b1, b"4"), (a1, b"5")]
+        for end, data in sends:
+            end.send(data)
+        assert loop.run_until(lambda: len(got) == len(sends), 1.0)
+        assert got == [(end.peer.name, data) for end, data in sends]
+        loop.close()
+
+    def test_tasks_run_in_due_then_start_order(self):
+        loop = Loop()
+        fired = []
+
+        def at(due, label):
+            yield due
+            fired.append(label)
+
+        start = time.monotonic()
+        for due, label in ((start + 0.02, "late"), (start + 0.01, "first"),
+                           (start + 0.01, "second"), (start, "now")):
+            loop.start(at(due, label))
+        assert loop.run_until(lambda: len(fired) == 4, 1.0)
+        assert fired == ["now", "first", "second", "late"]
+        assert time.monotonic() - start >= 0.02
+        loop.close()
+
+    def test_wait_returns_false_at_its_deadline(self):
+        loop = Loop()
+        start = time.monotonic()
+        assert loop.run_until(lambda: False, 0.05) is False
+        assert 0.05 <= time.monotonic() - start < 1.0
+        loop.close()
+
+    def test_a_delivery_that_raises_is_logged_and_the_loop_goes_on(self, caplog):
+        loop = Loop()
+        near, far = make_queue_pair("near", "far", loop)
+        got = []
+
+        def receive(data):
+            if data == b"bad":
+                raise ValueError("cannot take this")
+            got.append(data)
+
+        far.on_receive = receive
+        for data in (b"before", b"bad", b"after"):
+            near.send(data)
+        with caplog.at_level(logging.ERROR, logger="atmosphere.transport"):
+            assert loop.run_until(lambda: len(got) == 2, 1.0)
+        assert got == [b"before", b"after"]
+        assert "receiver for far raised" in caplog.text
+        loop.close()
+
+
+class TestTcpOnOneLoop:
+    def test_large_qos0_publishes_arrive_in_order(self):
+        """500 publishes of 64 KB, more than the socket buffers hold, so
+        sends are partial and the rest waits in the outbox."""
+        count, size = 500, 64 * 1024
+        loop = Loop()
+        broker = Broker()
+        server = TcpServer("127.0.0.1", 0, broker.attach, loop)
+        try:
+            subscriber = MqttClient("sub")
+            subscriber.connect(connect_tcp("127.0.0.1", server.port, loop))
+            inbox = []
+            subscriber.on_message = lambda topic, payload: inbox.append(payload)
+            subscriber.subscribe([("big", 0)])
+            publisher = MqttClient("pub")
+            endpoint = connect_tcp("127.0.0.1", server.port, loop)
+            publisher.connect(endpoint)
+            for index in range(count):
+                publisher.publish("big", index.to_bytes(4, "big") * (size // 4), qos=0)
+            assert endpoint._outbox, "every send went out whole: the outbox was never used"
+            assert loop.run_until(lambda: len(inbox) == count, 30.0)
+            assert not endpoint._outbox
+            for index, payload in enumerate(inbox):
+                assert payload == index.to_bytes(4, "big") * (size // 4)
+        finally:
+            loop.close()
