@@ -68,7 +68,7 @@ class SimulatorSpec:
 @dataclass(frozen=True)
 class TimelineEntry:
     at_ms: int
-    kind: str  # sensor | source | user_publish | timer
+    kind: str
     data: dict = field(default_factory=dict)
 
 

@@ -1,5 +1,6 @@
-"""Scenario runner: builds the topology, drives simulators and the scripted
-timeline, measures round trips, and produces a :class:`RunReport`.
+"""Scenario runner: builds the topology, drives the scripted timeline,
+simulators and agent timers, measures round trips, and produces a
+:class:`RunReport`.
 
 One builder, :class:`Deployment`, wires the nodes over links of one kind:
 ``sync`` (synchronous, in-process), ``queue`` (in-process, queued on one
@@ -7,15 +8,23 @@ loop) or ``tcp`` (local sockets on that loop, for a run split over OS
 processes, see :mod:`.procs`). Its :class:`Placement` says which nodes this
 process hosts: the core tier (broker, gateways, fogs, clouds, user node and
 feeder) and which edges; by default, everything. Two drivers run a
-deployment, each on one thread:
+deployment, each on one thread, and both run the same input tasks: the
+timeline, each simulator and each edge's agent timers, generators that yield
+when their next input is due. An input due after the run's duration is not
+applied.
 
-* ``event_time``: synchronous links, a logical clock set by the timeline.
-  Byte-identical output for a given seed; used for all correctness runs.
-* ``processing_time`` (:func:`drive`): the deployment's loop, with every send
-  a timer on the wall clock; used for the latency/throughput benches, in one
-  process or in each process of a split deployment. Latency is measured on
-  the edge node from a send's due time to the return of the matching
-  complex event.
+* ``event_time``: synchronous links and a logical clock. One heap orders the
+  tasks on logical time; tasks due together run in a rank fixed when they
+  start (timeline, simulators, then edges, each in config order). The engines
+  advance to an input's time before the clock moves to it, and the edges are
+  pumped after every resumed task. Byte-identical output for a given seed;
+  used for all correctness runs.
+* ``processing_time`` (:func:`drive`): the deployment's loop, each task a
+  timer on the wall clock, beside the periodic ticks, engine advances and CPU
+  samples that run in this mode only; used for the latency/throughput
+  benches, in one process or in each process of a split deployment. Latency
+  is measured on the edge node from a send's due time to the return of the
+  matching complex event.
 
 The bench convention: every simulator event carries a ``rid`` field, the fog
 echoes it back on the edge output topic, and the edge records the round trip.
@@ -26,10 +35,11 @@ gateway never starts (no ACL traffic at all).
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..agents import AclMessage, GatewayClient, GatewayServer, parse_agent_spec
 from ..errors import AtmosphereError, ConfigError
@@ -46,8 +56,6 @@ logger = logging.getLogger(__name__)
 SATURATION_HIGH_WATER = 1000
 SATURATION_HOLD_S = 5.0
 DRAIN_S = 10.0
-# simulator i numbers its round trips from i * RID_SPACE: unique across processes
-RID_SPACE = 10_000_000
 ECHO_SERVICE = "echo"
 SINK_SERVICE = "svc"
 TCP_HOST = "127.0.0.1"
@@ -385,56 +393,79 @@ def run_scenario(
     return drive(Deployment(config, run, clock, "queue"), rate_override)
 
 
-# -- event-time driver ------------------------------------------------------------
+# -- the run's inputs ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Step:
-    at_ms: int
-    seq: int
-    kind: str
-    data: dict = field(default_factory=dict)
-
-
-def _synthesize_steps(config: ScenarioConfig, run: RunDefaults, rate_override) -> list[_Step]:
-    steps: list[_Step] = []
-    seq = 0
-
-    def push(at_ms: int, kind: str, data: dict):
-        nonlocal seq
-        steps.append(_Step(at_ms, seq, kind, data))
-        seq += 1
-
-    for entry in config.timeline:
-        push(entry.at_ms, entry.kind, entry.data)
+def _input_tasks(deployment: Deployment, sink: MetricsSink, rate_override, due) -> list:
+    """The input tasks in rank order: the timeline, one per hosted simulator
+    and, in full mode, one per hosted edge for its agent timers. Each yields
+    ``due(at_ms)`` before each input, ``at_ms`` its offset from the run's
+    start. Simulator i numbers its round trips on from the rid-bearing sends
+    of the simulators before it, so every placement gives the same ids."""
+    config, run = deployment.config, deployment.run
     duration_ms = int(run.duration_s * 1000)
+    tasks = [_timeline(deployment, due, duration_ms)]
     rid = 0
     for index, sim in enumerate(config.simulators):
         rate = rate_override if rate_override is not None else sim.rate
-        factory = EventFactory(sim.generators, seed=run.seed * 1000 + sim.seed + index)
-        for at_ms in emission_times_ms(rate, run.duration_s):
-            fields = factory.next_fields()
-            if "rid" in fields:
-                rid += 1
-                fields["rid"] = rid
-            push(at_ms, "sim", {"edge": sim.edge, "stream": sim.stream, "fields": fields})
-    if run.mode == "full":
-        # timer rules fire on schedule for full-architecture runs only
-        for edge_cfg in config.edges:
-            for spec in edge_cfg.agent_specs:
-                for rule in spec.rules:
-                    period = getattr(rule.trigger, "period_ms", None)
-                    if period is None:
-                        continue
-                    count = 0
-                    at = period
-                    while at <= duration_ms:
-                        count += 1
-                        push(at, "timer", {"edge": edge_cfg.id, "agent": spec.id,
-                                           "rule": rule.id, "count": count})
-                        at += period
-    steps.sort(key=lambda step: (step.at_ms, step.seq))
-    return steps
+        times = emission_times_ms(rate, run.duration_s)
+        if sim.edge in deployment.edges:
+            seed = run.seed * 1000 + sim.seed + index
+            tasks.append(_simulate(deployment, sink, sim, seed, times, rid, due))
+        if "rid" in sim.generators:
+            rid += len(times)
+    if run.mode == "full":  # timer rules fire in full-architecture runs only
+        tasks += [_agent_timers(edge, deployment.clock, due, duration_ms)
+                  for edge in deployment.edges.values()]
+    return tasks
+
+
+def _timeline(deployment: Deployment, due, duration_ms: int):
+    """The scripted timeline's entries, up to the run's duration."""
+    for entry in deployment.config.timeline:  # sorted by at_ms
+        if entry.at_ms > duration_ms:
+            return
+        yield due(entry.at_ms)
+        data = entry.data
+        if entry.kind == "sensor":
+            edge = deployment.edges[data["edge"]]
+            edge.inject_sensor(data["agent"], data["sensor"], data["value"], at=entry.at_ms)
+        elif entry.kind == "source":
+            payload = json.dumps(data["raw"], separators=(",", ":")).encode()
+            deployment.feeder.publish(data["topic"], payload, qos=deployment.run.qos)
+        elif entry.kind == "user_publish":
+            payload = json.dumps(data["payload"], separators=(",", ":")).encode()
+            assert deployment.user is not None
+            deployment.user.publish_raw(payload)
+
+
+def _simulate(deployment: Deployment, sink: MetricsSink, sim, seed: int, times: list[int],
+              rid: int, due):
+    """One simulator's sends at ``times``, its round trips numbered from ``rid`` + 1."""
+    factory = EventFactory(sim.generators, seed=seed)
+    for at_ms in times:
+        yield due(at_ms)
+        fields = factory.next_fields()
+        if "rid" in fields:
+            rid += 1
+            fields["rid"] = rid
+        _emit_probe(deployment, sink, sim.edge, sim.stream, fields, at_ms)
+
+
+def _agent_timers(edge: EdgeNode, clock, due, duration_ms: int):
+    """``edge``'s timer rules, counted from the run's start, up to its duration."""
+    at_ms = 0
+    edge.start_timers(at_ms)
+    while True:
+        # resumed late, it fires what fell due meanwhile; ``clock()``
+        # truncates, so it can read just below ``at_ms``
+        at_ms = edge.tick_timers(min(max(at_ms, clock()), duration_ms))
+        if at_ms is None or at_ms > duration_ms:
+            return
+        yield due(at_ms)
+
+
+# -- event-time driver ------------------------------------------------------------
 
 
 def _run_event_time(config: ScenarioConfig, run: RunDefaults, rate_override) -> RunReport:
@@ -442,41 +473,33 @@ def _run_event_time(config: ScenarioConfig, run: RunDefaults, rate_override) -> 
     deployment = Deployment(config, run, clock, "sync")
     sink = MetricsSink(run.qos, run.mode)
     _wire_probe_hooks(deployment, sink, clock)
-    steps = _synthesize_steps(config, run, rate_override)
+    # (at_ms, rank, task): tasks due together run in the order they were
+    # listed, a rank fixed when each one starts
+    heap: list = []
+
+    def resume(rank: int, task) -> None:
+        at_ms = next(task, None)
+        if at_ms is not None:
+            heapq.heappush(heap, (at_ms, rank, task))
+
     try:
-        for step in steps:
-            if step.at_ms > clock.now:
+        tasks = _input_tasks(deployment, sink, rate_override, due=lambda at_ms: at_ms)
+        for rank, task in enumerate(tasks):
+            resume(rank, task)
+        while heap:
+            at_ms, rank, task = heapq.heappop(heap)
+            if at_ms > clock.now:
                 # move global logical time forward first, firing any engine
-                # boundaries the step would otherwise leap over
-                deployment.advance_engines(step.at_ms)
-                clock.set(step.at_ms)
-            _apply_step(deployment, sink, step, clock)
+                # boundaries the input would otherwise leap over
+                deployment.advance_engines(at_ms)
+                clock.set(at_ms)
+            resume(rank, task)
             deployment.pump_edges()
-        duration_ms = int(run.duration_s * 1000)
-        clock.set(max(clock.now, duration_ms))
+        clock.set(int(run.duration_s * 1000))
         deployment.advance_engines(clock.now)
         return _collect(deployment, sink, run)
     finally:
         deployment.close()
-
-
-def _apply_step(deployment: Deployment, sink: MetricsSink, step: _Step, clock) -> None:
-    data = step.data
-    if step.kind == "sensor":
-        edge = deployment.edges[data["edge"]]
-        edge.inject_sensor(data["agent"], data["sensor"], data["value"], at=step.at_ms)
-    elif step.kind == "timer":
-        edge = deployment.edges[data["edge"]]
-        edge.fire_timer(data["agent"], data["rule"], at=step.at_ms)
-    elif step.kind == "sim":
-        _emit_probe(deployment, sink, data["edge"], data["stream"], dict(data["fields"]), step.at_ms)
-    elif step.kind == "source":
-        payload = json.dumps(data["raw"], separators=(",", ":")).encode()
-        deployment.feeder.publish(data["topic"], payload, qos=deployment.run.qos)
-    elif step.kind == "user_publish":
-        payload = json.dumps(data["payload"], separators=(",", ":")).encode()
-        assert deployment.user is not None
-        deployment.user.publish_raw(payload)
 
 
 def _emit_probe(deployment: Deployment, sink: MetricsSink, edge_id: str, stream: str,
@@ -565,55 +588,42 @@ def _collect(deployment: Deployment, sink: MetricsSink, run: RunDefaults,
 # -- processing-time driver ----------------------------------------------------------
 
 
-
-
 def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
     """Run ``deployment`` in processing time on its loop and report on the
-    nodes it hosts: the hosted edges' simulators, each send a task due at,
-    and stamped with, its schedule offset from the clock origin; then the
-    wait for in-flight round trips and acks.
+    nodes it hosts: the input tasks, each input due at, and stamped with,
+    its offset from the clock origin; then the wait for in-flight round
+    trips and acks.
 
     ``peers`` ties this process to the others of a split run:
     ``peers.ready()`` returns once this one may start sending, and after
     ``peers.drained()`` the loop runs on until ``peers.stop`` is set.
     """
-    config, run, clock, loop = deployment.config, deployment.run, deployment.clock, deployment.loop
+    run, clock, loop = deployment.run, deployment.clock, deployment.loop
     sink = MetricsSink(run.qos, run.mode)
     _wire_probe_hooks(deployment, sink, clock)
     cpu_samples: list[tuple[int, str, float]] = []
     saturated = stopped = False
     calm_at = time.monotonic()  # when the ready deque last held no more than the high water
-    sending = 0  # simulators with sends left
+    sending = 0  # input tasks not yet ended
 
     def due(at_ms: int) -> float:
         # from the exact run start: ``clock()`` truncates to whole ms
         return clock.start + at_ms / 1000.0
 
-    def simulate(sim, index):
+    def awaited(task):
+        """``task``, counted in ``sending`` until it ends; saturation or a
+        failed input ends it early."""
         nonlocal sending
-        rate = rate_override if rate_override is not None else sim.rate
-        factory = EventFactory(sim.generators, seed=run.seed * 1000 + sim.seed + index)
-        rid = index * RID_SPACE
-        for offset_ms in emission_times_ms(rate, run.duration_s):
-            yield due(offset_ms)
-            if saturated:
-                break
-            fields = factory.next_fields()
-            if "rid" in fields:
-                rid += 1
-                fields["rid"] = rid
-            try:
-                _emit_probe(deployment, sink, sim.edge, sim.stream, fields, offset_ms)
-            except AtmosphereError as exc:
-                logger.error("simulator emit failed: %s", exc)
-                break
-        sending -= 1
-
-    def agent_timers(edge: EdgeNode):
-        at_ms = clock()
-        edge.start_timers(at_ms)
-        while (at_ms := edge.tick_timers(max(at_ms, clock()))) is not None:
-            yield due(at_ms)
+        sending += 1
+        try:
+            for at in task:
+                yield at
+                if saturated:
+                    break
+        except AtmosphereError as exc:
+            logger.error("input failed: %s", exc)
+        finally:
+            sending -= 1
 
     def tick():
         """QoS 1 re-sends, the saturation watch and the split run's stop."""
@@ -650,13 +660,8 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
         for task in (every(0.05, tick), every(0.1, lambda: deployment.advance_engines(clock())),
                      sample_cpu()):
             loop.start(task)
-        if run.mode == "full":
-            for edge in deployment.edges.values():
-                loop.start(agent_timers(edge))
-        for index, sim in enumerate(config.simulators):
-            if sim.edge in deployment.edges:
-                sending += 1
-                loop.start(simulate(sim, index))
+        for task in _input_tasks(deployment, sink, rate_override, due):
+            loop.start(awaited(task))
         loop.run_until(lambda: not sending or saturated, run.duration_s + 6.0)
         loop.run_until(drained, DRAIN_S)
         if peers is not None:

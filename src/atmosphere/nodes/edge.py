@@ -92,9 +92,7 @@ class EdgeNode:
     def start_timers(self, now_ms: int) -> None:
         for agent in self.agents.values():
             for rule in agent.timer_rules():
-                key = (agent.id, rule.id)
-                self._timer_next[key] = now_ms + rule.trigger.period_ms
-                self._timer_count[key] = 0
+                self._timer_next[(agent.id, rule.id)] = now_ms + rule.trigger.period_ms
 
     # -- inbound ------------------------------------------------------------------
 
@@ -185,11 +183,7 @@ class EdgeNode:
                     continue
                 period = rule.trigger.period_ms
                 while self._timer_next[key] <= now_ms:
-                    self._timer_count[key] += 1
-                    self.mailboxes[agent.id].append(
-                        TimerFire(rule.id, self._timer_count[key], self._timer_next[key])
-                    )
-                    self.has_work = True
+                    self.fire_timer(agent.id, rule.id, self._timer_next[key])
                     self._timer_next[key] += period
         return min(self._timer_next.values(), default=None)
 

@@ -32,6 +32,34 @@ def bench():
     return load_scenario(SCENARIOS / "bench.json")
 
 
+def bench_copy(tmp_path, edges: int, rates=(), timeline=()):
+    """bench.json with its edge and simulator copied to ``edges`` edges,
+    simulator i at ``rates[i]`` where given, with ``timeline``."""
+    doc = json.loads((SCENARIOS / "bench.json").read_text("utf-8"))
+    fog = doc["topology"]["fogs"][0]
+    fog["patterns"] = [str(SCENARIOS / path) for path in fog["patterns"]]
+    edge = json.dumps(doc["topology"]["edges"][0])
+    doc["topology"]["edges"] = [json.loads(edge.replace('"e1', f'"e{i}')) for i in range(1, edges + 1)]
+    doc["simulators"] = [dict(doc["simulators"][0], edge=f"e{i}") for i in range(1, edges + 1)]
+    for sim, rate in zip(doc["simulators"], rates):
+        sim["rate"] = rate
+    doc["timeline"] = list(timeline)
+    path = tmp_path / f"bench_{edges}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_scenario(path)
+
+
+def rid_schedule(rates, duration_s) -> list:
+    """(round-trip id, send time) of every send: simulator i numbers its
+    round trips on from the sends of the simulators before it."""
+    pairs, first = [], 0
+    for rate in rates:
+        times = emission_times_ms(rate, duration_s)
+        pairs += [(first + i + 1, at_ms) for i, at_ms in enumerate(times)]
+        first += len(times)
+    return sorted(pairs)
+
+
 class TestLoadScenario:
     def test_hospital_shape(self, hospital):
         assert [f.id for f in hospital.fogs] == ["f1", "f2"]
@@ -199,26 +227,13 @@ class TestBenchRuns:
 
 
 class TestOneLoop:
-    @staticmethod
-    def copied_to(tmp_path, count):
-        """bench.json with its edge and simulator copied to ``count`` edges."""
-        doc = json.loads((SCENARIOS / "bench.json").read_text("utf-8"))
-        fog = doc["topology"]["fogs"][0]
-        fog["patterns"] = [str(SCENARIOS / path) for path in fog["patterns"]]
-        edge = json.dumps(doc["topology"]["edges"][0])
-        doc["topology"]["edges"] = [json.loads(edge.replace('"e1', f'"e{i}')) for i in range(1, count + 1)]
-        doc["simulators"] = [dict(doc["simulators"][0], edge=f"e{i}") for i in range(1, count + 1)]
-        path = tmp_path / f"bench_{count}.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        return load_scenario(path)
-
     @pytest.mark.parametrize("edges", [1, 8])
     def test_processing_time_run_starts_no_thread(self, tmp_path, monkeypatch, edges):
         import threading
 
         starts = []
         monkeypatch.setattr(threading.Thread, "start", lambda thread: starts.append(thread.name))
-        config = load_scenario(SCENARIOS / "bench.json") if edges == 1 else self.copied_to(tmp_path, edges)
+        config = load_scenario(SCENARIOS / "bench.json") if edges == 1 else bench_copy(tmp_path, edges)
         report = run_scenario(config, RunOverrides(rate=50, duration_s=1, qos=1, warmup_s=0))
         assert report.round_trips["completed"] == 50 * edges
         assert starts == []
@@ -227,6 +242,70 @@ class TestOneLoop:
         report = run_scenario(bench, RunOverrides(rate=200, duration_s=1, qos=0, warmup_s=0))
         assert [r.sent_at for r in report.records] == emission_times_ms(200, 1)
         assert all(r.latency_ms >= 0 for r in report.records)
+
+
+class TestInputTasks:
+    """Both clocks run the same input tasks: the timeline, the simulators
+    and the agent timers."""
+
+    @pytest.mark.parametrize("clock", ["event_time", "processing_time"])
+    def test_timeline_applies_entries_within_the_duration(self, tmp_path, monkeypatch, clock):
+        from atmosphere.nodes import EdgeNode
+
+        calls = []
+        inject = EdgeNode.inject_sensor
+
+        def recorded(edge, agent_id, sensor, value, at):
+            calls.append((edge.node_id, agent_id, sensor, value, at))
+            inject(edge, agent_id, sensor, value, at=at)
+
+        monkeypatch.setattr(EdgeNode, "inject_sensor", recorded)
+        entry = {"kind": "sensor", "edge": "e1", "agent": "e1.humidity", "sensor": "h", "value": 1}
+        config = bench_copy(tmp_path, 1, timeline=[dict(entry, at_ms=200), dict(entry, at_ms=1500)])
+        report = run_scenario(config, RunOverrides(rate=20, duration_s=1, qos=1, warmup_s=0, clock=clock))
+        assert calls == [("e1", "e1.humidity", "h", 1, 200)]
+        assert report.round_trips["completed"] == 20
+
+    def test_inputs_due_together_run_in_rank_order(self, tmp_path, monkeypatch):
+        """Timeline, then simulators in config order, then agent timers in
+        edge order: the ranks fixed when the tasks start, whatever the order
+        in which they were last re-queued."""
+        from atmosphere.nodes import EdgeNode
+
+        calls = []
+        inject, fire, emit = EdgeNode.inject_sensor, EdgeNode.fire_timer, runner_mod._emit_probe
+
+        def injected(edge, agent_id, sensor, value, at):
+            calls.append(("sensor", edge.node_id, at))
+            inject(edge, agent_id, sensor, value, at=at)
+
+        def fired(edge, agent_id, rule_id, at):
+            calls.append(("timer", edge.node_id, at))
+            fire(edge, agent_id, rule_id, at)
+
+        def emitted(deployment, sink, edge_id, stream, fields, at_ms):
+            calls.append(("sim", edge_id, at_ms))
+            emit(deployment, sink, edge_id, stream, fields, at_ms)
+
+        monkeypatch.setattr(EdgeNode, "inject_sensor", injected)
+        monkeypatch.setattr(EdgeNode, "fire_timer", fired)
+        monkeypatch.setattr(runner_mod, "_emit_probe", emitted)
+        entry = {"at_ms": 1000, "kind": "sensor", "edge": "e2", "agent": "e2.humidity",
+                 "sensor": "h", "value": 1}
+        config = bench_copy(tmp_path, 2, rates=(1, 1), timeline=[entry])
+        report = run_scenario(config, RunOverrides(duration_s=2, qos=0, mode="full", warmup_s=0,
+                                                   clock="event_time"))
+        assert [call[:2] for call in calls if call[2] == 1000] == [
+            ("sensor", "e2"), ("sim", "e1"), ("sim", "e2"), ("timer", "e1"), ("timer", "e2"),
+        ]
+        assert report.round_trips["completed"] == 4
+
+    @pytest.mark.parametrize("clock", ["event_time", "processing_time"])
+    def test_round_trip_ids_follow_simulator_order(self, tmp_path, clock):
+        config = bench_copy(tmp_path, 2, rates=(30, 20))
+        report = run_scenario(config, RunOverrides(duration_s=1, qos=1, warmup_s=0, clock=clock))
+        got = sorted((r.round_trip_id, r.sent_at) for r in report.records)
+        assert got == rid_schedule((30, 20), 1)
 
 
 class TestHospitalRun:
@@ -366,16 +445,7 @@ class TestProcessesMode:
     def test_two_edges_count_every_echo(self, tmp_path):
         """Each edge gets every echo on the shared fog output topic, its own
         and the other edge's, so none may leave before the other has drained."""
-        doc = json.loads((SCENARIOS / "bench.json").read_text("utf-8"))
-        fog = doc["topology"]["fogs"][0]
-        fog["patterns"] = [str(SCENARIOS / path) for path in fog["patterns"]]
-        edge = json.dumps(doc["topology"]["edges"][0])
-        doc["topology"]["edges"].append(json.loads(edge.replace('"e1', '"e2')))
-        sim = dict(doc["simulators"][0], edge="e2")
-        doc["simulators"].append(sim)
-        path = tmp_path / "two_edges.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        config = load_scenario(path)
+        config = bench_copy(tmp_path, 2)
         overrides = RunOverrides(rate=50, duration_s=2, qos=1, mode="full", warmup_s=0,
                                  clock="processing_time")
         in_process = run_scenario(config, overrides)
@@ -386,6 +456,8 @@ class TestProcessesMode:
             assert report.round_trips["completed"] == 200
             assert report.counters["publish"] == in_process.counters["publish"]
             assert report.counters["puback"] == in_process.counters["puback"]
+            # e1's simulator numbers 1..100, e2's 101..200, in every process
+            assert sorted((r.round_trip_id, r.sent_at) for r in report.records) == rid_schedule((50, 50), 2)
 
     def test_event_time_with_processes_rejected(self, bench):
         with pytest.raises(ConfigError):
