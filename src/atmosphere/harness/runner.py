@@ -8,23 +8,19 @@ loop) or ``tcp`` (local sockets on that loop, for a run split over OS
 processes, see :mod:`.procs`). Its :class:`Placement` says which nodes this
 process hosts: the core tier (broker, gateways, fogs, clouds, user node and
 feeder) and which edges; by default, everything. Two drivers run a
-deployment, each on one thread, and both run the same input tasks: the
-timeline, each simulator and each edge's agent timers, generators that yield
-when their next input is due. An input due after the run's duration is not
-applied.
+deployment, each on one thread, and both run the same input tasks (the
+timeline, each simulator, each edge's agent timers): generators that yield
+when their next input is due. No input due after the run's duration applies.
 
 * ``event_time``: synchronous links and a logical clock. One heap orders the
-  tasks on logical time; tasks due together run in a rank fixed when they
-  start (timeline, simulators, then edges, each in config order). The engines
-  advance to an input's time before the clock moves to it, and the edges are
-  pumped after every resumed task. Byte-identical output for a given seed;
-  used for all correctness runs.
+  tasks; ties run in a rank fixed at the start (timeline, simulators, edges),
+  and the edges are pumped after every resumed task. Byte-identical output
+  for a given seed; used for all correctness runs.
 * ``processing_time`` (:func:`drive`): the deployment's loop, each task a
-  timer on the wall clock, beside the periodic ticks, engine advances and CPU
-  samples that run in this mode only; used for the latency/throughput
-  benches, in one process or in each process of a split deployment. Latency
-  is measured on the edge node from a send's due time to the return of the
-  matching complex event.
+  timer on the wall clock; used for the latency/throughput benches, in one
+  process or in each process of a split deployment. Latency is measured on
+  the edge node from a send's due time to the return of the matching
+  complex event.
 
 The bench convention: every simulator event carries a ``rid`` field, the fog
 echoes it back on the edge output topic, and the edge records the round trip.
@@ -408,15 +404,13 @@ def _input_tasks(deployment: Deployment, sink: MetricsSink, rate_override, due) 
     rid = 0
     for index, sim in enumerate(config.simulators):
         rate = rate_override if rate_override is not None else sim.rate
-        times = emission_times_ms(rate, run.duration_s)
         if sim.edge in deployment.edges:
             seed = run.seed * 1000 + sim.seed + index
-            tasks.append(_simulate(deployment, sink, sim, seed, times, rid, due))
+            tasks.append(_simulate(deployment, sink, sim, seed, rate, rid, due))
         if "rid" in sim.generators:
-            rid += len(times)
+            rid += int(rate * run.duration_s)  # the length of its emission_times_ms
     if run.mode == "full":  # timer rules fire in full-architecture runs only
-        tasks += [_agent_timers(edge, deployment.clock, due, duration_ms)
-                  for edge in deployment.edges.values()]
+        tasks += [_agent_timers(edge, due, duration_ms) for edge in deployment.edges.values()]
     return tasks
 
 
@@ -439,11 +433,11 @@ def _timeline(deployment: Deployment, due, duration_ms: int):
             deployment.user.publish_raw(payload)
 
 
-def _simulate(deployment: Deployment, sink: MetricsSink, sim, seed: int, times: list[int],
+def _simulate(deployment: Deployment, sink: MetricsSink, sim, seed: int, rate: float,
               rid: int, due):
-    """One simulator's sends at ``times``, its round trips numbered from ``rid`` + 1."""
+    """One simulator's sends at ``rate``, its round trips numbered from ``rid`` + 1."""
     factory = EventFactory(sim.generators, seed=seed)
-    for at_ms in times:
+    for at_ms in emission_times_ms(rate, deployment.run.duration_s):
         yield due(at_ms)
         fields = factory.next_fields()
         if "rid" in fields:
@@ -452,17 +446,13 @@ def _simulate(deployment: Deployment, sink: MetricsSink, sim, seed: int, times: 
         _emit_probe(deployment, sink, sim.edge, sim.stream, fields, at_ms)
 
 
-def _agent_timers(edge: EdgeNode, clock, due, duration_ms: int):
-    """``edge``'s timer rules, counted from the run's start, up to its duration."""
-    at_ms = 0
-    edge.start_timers(at_ms)
-    while True:
-        # resumed late, it fires what fell due meanwhile; ``clock()``
-        # truncates, so it can read just below ``at_ms``
-        at_ms = edge.tick_timers(min(max(at_ms, clock()), duration_ms))
-        if at_ms is None or at_ms > duration_ms:
-            return
+def _agent_timers(edge: EdgeNode, due, duration_ms: int):
+    """``edge``'s timer rules, one fire per resume, counted from the run's
+    start up to its duration."""
+    at_ms = edge.start_timers(0)
+    while at_ms is not None and at_ms <= duration_ms:
         yield due(at_ms)
+        at_ms = edge.tick_timers(at_ms)
 
 
 # -- event-time driver ------------------------------------------------------------
@@ -473,9 +463,7 @@ def _run_event_time(config: ScenarioConfig, run: RunDefaults, rate_override) -> 
     deployment = Deployment(config, run, clock, "sync")
     sink = MetricsSink(run.qos, run.mode)
     _wire_probe_hooks(deployment, sink, clock)
-    # (at_ms, rank, task): tasks due together run in the order they were
-    # listed, a rank fixed when each one starts
-    heap: list = []
+    heap: list = []  # (at_ms, rank, task): ties run in the order listed
 
     def resume(rank: int, task) -> None:
         at_ms = next(task, None)

@@ -89,10 +89,14 @@ class EdgeNode:
         client.on_message = self._on_gateway_message
         client.register(list(self.agents), at=self._clock())
 
-    def start_timers(self, now_ms: int) -> None:
-        for agent in self.agents.values():
-            for rule in agent.timer_rules():
-                self._timer_next[(agent.id, rule.id)] = now_ms + rule.trigger.period_ms
+    def start_timers(self, now_ms: int) -> int | None:
+        """Schedule the timer rules the agents hold now, each first due a
+        period after ``now_ms``; returns when the first one is due, ``None``
+        without timers."""
+        self._timer_period = {(agent.id, rule.id): rule.trigger.period_ms
+                              for agent in self.agents.values() for rule in agent.timer_rules()}
+        self._timer_next = {key: now_ms + period for key, period in self._timer_period.items()}
+        return min(self._timer_next.values(), default=None)
 
     # -- inbound ------------------------------------------------------------------
 
@@ -174,18 +178,19 @@ class EdgeNode:
     # -- processing --------------------------------------------------------------
 
     def tick_timers(self, now_ms: int) -> int | None:
-        """Fire the timer rules due by ``now_ms``; returns when the next one
-        is due, ``None`` without timers."""
-        for agent in self.agents.values():
-            for rule in agent.timer_rules():
-                key = (agent.id, rule.id)
-                if key not in self._timer_next:
-                    continue
-                period = rule.trigger.period_ms
-                while self._timer_next[key] <= now_ms:
-                    self.fire_timer(agent.id, rule.id, self._timer_next[key])
-                    self._timer_next[key] += period
-        return min(self._timer_next.values(), default=None)
+        """Fire the earliest timer due by ``now_ms``, if any (ties in
+        declaration order, agents then rules); returns when the next one is
+        due, ``None`` without timers. The schedule is the one
+        :meth:`start_timers` made: a rule update neither adds nor drops a
+        timer."""
+        if not self._timer_next:
+            return None
+        key = min(self._timer_next, key=self._timer_next.__getitem__)
+        at = self._timer_next[key]
+        if at <= now_ms:
+            self.fire_timer(*key, at)
+            self._timer_next[key] = at + self._timer_period[key]
+        return min(self._timer_next.values())
 
     def fire_timer(self, agent_id: str, rule_id: str, at: int) -> None:
         key = (agent_id, rule_id)

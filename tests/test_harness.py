@@ -308,6 +308,76 @@ class TestInputTasks:
         assert got == rid_schedule((30, 20), 1)
 
 
+class TestAgentTimers:
+    @staticmethod
+    def one_edge(tmp_path, agents, timeline=(), duration_s=1, clock="event_time"):
+        doc = {
+            "name": "timers",
+            "schemas": {"S": {"x": "integer"}},
+            "topology": {"fogs": [{"id": "f1"}],
+                         "edges": [{"id": "e1", "fog": "f1", "agents": agents}],
+                         "user": {"id": "u", "fog": "f1"}},
+            "timeline": list(timeline),
+            "run": {"duration_s": duration_s, "qos": 0, "mode": "full", "clock": clock,
+                    "seed": 1, "warmup_s": 0},
+        }
+        path = tmp_path / "timers.json"
+        path.write_text(json.dumps(doc))
+        return load_scenario(path)
+
+    @staticmethod
+    def log_lines(monkeypatch) -> list:
+        """The text of every log effect of the run's edges, in order."""
+        lines = []
+        close = runner_mod.Deployment.close
+
+        def keep(deployment):
+            lines.extend(effect.text for edge in deployment.edges.values()
+                         for effect in edge.effect_log if hasattr(effect, "text"))
+            close(deployment)
+
+        monkeypatch.setattr(runner_mod.Deployment, "close", keep)
+        return lines
+
+    @pytest.mark.parametrize("clock", ["event_time", "processing_time"])
+    def test_run_ends_when_a_timer_rule_is_replaced(self, tmp_path, monkeypatch, clock):
+        """A rule update turning timer rule t1 into a sensor rule leaves its
+        schedule in place: its later fires match no rule and the run ends on
+        time."""
+        import time
+
+        log = {"kind": "log", "template": "t1 $value"}
+        agent = {"id": "a1", "sensors": ["s"], "rules": [
+            {"id": "t1", "trigger": {"kind": "timer", "period_ms": 1000}, "actions": [log]}]}
+        update = {"_stream": "RuleUpdate", "agent": "a1", "rule": {
+            "id": "t1", "trigger": {"kind": "sensor", "sensor": "s"}, "actions": [log]}}
+        config = self.one_edge(tmp_path, [agent], clock=clock, duration_s=2, timeline=[
+            {"at_ms": 1500, "kind": "user_publish", "payload": update}])
+        lines = self.log_lines(monkeypatch)
+        started = time.monotonic()
+        run_scenario(config)
+        assert time.monotonic() - started < 4.0
+        assert lines == ["t1 1"]
+
+    def test_timers_due_together_are_pumped_one_by_one(self, tmp_path, monkeypatch):
+        """a's timer messages b; b's own timer, due in the same ms, fires after
+        the edges were pumped, so b reads the message first."""
+        agents = [
+            {"id": "a", "rules": [
+                {"id": "ta", "trigger": {"kind": "timer", "period_ms": 1000},
+                 "actions": [{"kind": "send", "receivers": ["b"], "stream": "Ping",
+                              "fields": {"value": "$value"}}]}]},
+            {"id": "b", "rules": [
+                {"id": "tb", "trigger": {"kind": "timer", "period_ms": 500},
+                 "actions": [{"kind": "log", "template": "tb $value"}]},
+                {"id": "ping", "trigger": {"kind": "message", "stream": "Ping"},
+                 "actions": [{"kind": "log", "template": "ping $value"}]}]},
+        ]
+        lines = self.log_lines(monkeypatch)
+        run_scenario(self.one_edge(tmp_path, agents, duration_s=2))
+        assert lines == ["tb 1", "ping 1", "tb 2", "tb 3", "ping 2", "tb 4"]
+
+
 class TestHospitalRun:
     def test_alert_log(self, hospital):
         report = run_scenario(hospital)
