@@ -53,7 +53,6 @@ class Agent:
         self.state = dict(spec.state)
         self.actuators = dict(spec.actuators)
         self.rules: list[Rule] = list(spec.rules)
-        self.timer_counts: dict[str, int] = {}
 
     # -- stimulus handling ---------------------------------------------------
 

@@ -11,7 +11,6 @@ sinks); ``acl_in``/``acl_out`` count frames crossing the channel boundary.
 from __future__ import annotations
 
 import logging
-import threading
 from collections import deque
 from typing import Callable
 
@@ -119,7 +118,6 @@ class GatewayServer:
 
     def __init__(self):
         self.registry = GatewayRegistry()
-        self._lock = threading.RLock()
         self._agent_channel: dict[str, _Channel] = {}
         self.counters = {"acl_in": 0, "acl_out": 0}
 
@@ -128,47 +126,44 @@ class GatewayServer:
         endpoint.on_receive = lambda data: self._on_data(channel, data)
 
     def register_service(self, service_id: str, handler) -> None:
-        with self._lock:
-            self.registry.register_service(service_id, handler)
+        self.registry.register_service(service_id, handler)
 
     def _on_data(self, channel: _Channel, data: bytes) -> None:
         for message in channel.decoder.feed(data):
             self.handle_message(channel, message)
 
     def handle_message(self, channel: _Channel, message: AclMessage) -> None:
-        with self._lock:
-            if (
-                message.receivers != BROADCAST
-                and GATEWAY_ADDRESS in message.receivers
-                and message.stream == REGISTER_STREAM
-            ):
-                # Platform handshake, not agent traffic: not counted.
-                for agent_id in message.content.get("agents", []):
-                    self.registry.register_agent(agent_id)
-                    self._agent_channel[agent_id] = channel
-                return
-            self.counters["acl_in"] += 1
-            try:
-                replies = self.registry.dispatch(message)
-            except GatewayError as exc:
-                logger.warning("dropping frame: %s", exc)
-                return
-            self._flush()
-            for reply in replies:
-                self.deliver(reply)
+        if (
+            message.receivers != BROADCAST
+            and GATEWAY_ADDRESS in message.receivers
+            and message.stream == REGISTER_STREAM
+        ):
+            # Platform handshake, not agent traffic: not counted.
+            for agent_id in message.content.get("agents", []):
+                self.registry.register_agent(agent_id)
+                self._agent_channel[agent_id] = channel
+            return
+        self.counters["acl_in"] += 1
+        try:
+            replies = self.registry.dispatch(message)
+        except GatewayError as exc:
+            logger.warning("dropping frame: %s", exc)
+            return
+        self._flush()
+        for reply in replies:
+            self.deliver(reply)
 
     def deliver(self, message: AclMessage) -> None:
         """Gateway-origin delivery (service replies, node notices)."""
-        with self._lock:
-            registry = self.registry
-            number = registry.next_number()
-            if message.receivers == BROADCAST:
-                receivers = [a for a in registry.queues if a != message.sender]
-            else:
-                receivers = [r for r in message.receivers if r in registry.queues]
-            for receiver in receivers:
-                registry.enqueue(receiver, number, message)
-            self._flush()
+        registry = self.registry
+        number = registry.next_number()
+        if message.receivers == BROADCAST:
+            receivers = [a for a in registry.queues if a != message.sender]
+        else:
+            receivers = [r for r in message.receivers if r in registry.queues]
+        for receiver in receivers:
+            registry.enqueue(receiver, number, message)
+        self._flush()
 
     def _flush(self) -> None:
         """Send the queues of the ready agents whose channel is registered,

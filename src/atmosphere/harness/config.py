@@ -123,15 +123,6 @@ class ScenarioConfig:
                 pending.remove(pattern)
         return ordered
 
-    def fog_ids(self) -> list[str]:
-        return [f.id for f in self.fogs]
-
-    def edge(self, edge_id: str) -> EdgeConfig:
-        for edge in self.edges:
-            if edge.id == edge_id:
-                return edge
-        raise ConfigError(f"unknown edge node {edge_id!r}")
-
 
 def _req(doc: dict, key: str, path: str, kind=None):
     if key not in doc:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,39 +53,34 @@ def bucketize(latencies_ms) -> list[float]:
 
 
 class MetricsSink:
-    """Append-only concurrent collector for in-flight round trips."""
+    """Append-only collector for in-flight round trips."""
 
     def __init__(self, qos: int, mode: str):
         self.qos = qos
         self.mode = mode
-        self._lock = threading.Lock()
         self._pending: dict[int, int] = {}
         self.records: list[MetricsRecord] = []
         self.initiated = 0
 
     def sent(self, round_trip_id: int, at_ms: int) -> None:
-        with self._lock:
-            self.initiated += 1
-            self._pending[round_trip_id] = at_ms
+        self.initiated += 1
+        self._pending[round_trip_id] = at_ms
 
     def received(self, round_trip_id: int, at_ms: int) -> None:
-        with self._lock:
-            sent_at = self._pending.pop(round_trip_id, None)
-            if sent_at is None:
-                return  # duplicate delivery of an already-completed round trip
-            self.records.append(
-                MetricsRecord(round_trip_id, sent_at, at_ms, self.qos, self.mode)
-            )
+        sent_at = self._pending.pop(round_trip_id, None)
+        if sent_at is None:
+            return  # duplicate delivery of an already-completed round trip
+        self.records.append(
+            MetricsRecord(round_trip_id, sent_at, at_ms, self.qos, self.mode)
+        )
 
     @property
     def completed(self) -> int:
-        with self._lock:
-            return len(self.records)
+        return len(self.records)
 
     @property
     def in_flight(self) -> int:
-        with self._lock:
-            return len(self._pending)
+        return len(self._pending)
 
 
 @dataclass

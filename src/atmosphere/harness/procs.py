@@ -75,7 +75,7 @@ def _host(config: ScenarioConfig, run: RunDefaults, rate_override, placement, po
 
 def run_in_processes(config: ScenarioConfig, run: RunDefaults, rate_override) -> RunReport:
     if config.timeline:
-        raise ConfigError("scripted timelines need the in-process event_time driver")
+        raise ConfigError("scripted timelines need an in-process run")
     ctx = mp.get_context("fork")
     stop = ctx.Event()
     start = ctx.Barrier(max(1, len(config.edges)))  # a barrier needs a party

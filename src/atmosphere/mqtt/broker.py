@@ -1,8 +1,7 @@
 """Broker core: sessions, subscription matching, and QoS 0/1 delivery.
 
-The core is one logical state machine; transports feed it through
-:meth:`Broker.attach`, and every mutation runs under a single reentrant lock
-(the serialized command path). Node-local consumers (the fog's CEP feed)
+The core is one state machine on its process's one thread; transports feed
+it through :meth:`Broker.attach`. Node-local consumers (the fog's CEP feed)
 attach through :meth:`Broker.subscribe_internal` / :meth:`publish_internal`,
 which bypass the wire entirely and therefore never appear in packet counters.
 
@@ -21,7 +20,6 @@ match: attach, CONNECT, SUBSCRIBE, internal subscribe and drop.
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -145,16 +143,14 @@ class Broker:
         # Security hook stub: return False to refuse a client id. Transport
         # hardening (TLS, credentials) is out of scope; this is the seam.
         self.connect_hook = connect_hook
-        self._lock = threading.RLock()
         self._sessions: list[Session] = []
         self._internal_subs: list[tuple[str, Callable[[str, bytes], None]]] = []
         # topic -> (internal callbacks, ((session, max granted qos), ...)),
         # filled by ``_route`` and emptied on any change that can alter a match
         self._routes: dict[str, tuple[tuple, tuple]] = {}
-        # Internal deliveries run outside the core lock (a callback may want
-        # to publish back into the broker from another thread).
+        # Internal deliveries wait here for the outermost ``_drain_internal``;
+        # what a callback publishes back into the broker queues behind them.
         self._internal_pending: deque = deque()
-        self._drain_flag_lock = threading.Lock()
         self._draining = False
         # Wire-level accounting, all sessions, both directions.
         self.counters = {"publish_in": 0, "publish_out": 0, "puback_in": 0, "puback_out": 0}
@@ -166,16 +162,14 @@ class Broker:
         session = Session(endpoint=endpoint)
         endpoint.on_receive = lambda data: self.feed(session, data)
         endpoint.on_close = lambda: self._on_endpoint_closed(session)
-        with self._lock:
-            self._sessions.append(session)
-            self._routes.clear()
+        self._sessions.append(session)
+        self._routes.clear()
         return session
 
     def subscribe_internal(self, topic_filter: str, callback: Callable[[str, bytes], None]) -> None:
         """Node-local subscription; deliveries are direct calls, not packets."""
-        with self._lock:
-            self._internal_subs.append((topic_filter, callback))
-            self._routes.clear()
+        self._internal_subs.append((topic_filter, callback))
+        self._routes.clear()
 
     def publish_internal(self, topic: str, payload: bytes, qos: int = 0) -> None:
         """Node-local publish injected into the routing core."""
@@ -185,28 +179,26 @@ class Broker:
             qos=qos,
             packet_id=1 if qos == 1 else None,
         )
-        with self._lock:
-            self._route(publish, ack_session=None)
+        self._route(publish, ack_session=None)
         self._drain_internal()
 
     # -- protocol handling ----------------------------------------------
 
     def feed(self, session: Session, data: bytes) -> None:
-        with self._lock:
-            buffer = session.buffer
-            buffer.extend(data)
-            while buffer:
-                try:
-                    decoded = decode_packet(buffer)
-                except AtmosphereError as exc:
-                    logger.warning("dropping %s: %s", session.client_id or "<pending>", exc)
-                    self._drop(session)
-                    break
-                if decoded is None:
-                    break
-                packet, consumed = decoded
-                del buffer[:consumed]
-                self._handle(session, packet)
+        buffer = session.buffer
+        buffer.extend(data)
+        while buffer:
+            try:
+                decoded = decode_packet(buffer)
+            except AtmosphereError as exc:
+                logger.warning("dropping %s: %s", session.client_id or "<pending>", exc)
+                self._drop(session)
+                break
+            if decoded is None:
+                break
+            packet, consumed = decoded
+            del buffer[:consumed]
+            self._handle(session, packet)
         self._drain_internal()
 
     def _handle(self, session: Session, packet: Packet) -> None:
@@ -283,19 +275,16 @@ class Broker:
     def tick(self, now_ms: int | None = None) -> None:
         """Drive QoS 1 retransmission; call periodically (or manually in tests)."""
         now = self._clock() if now_ms is None else now_ms
-        with self._lock:
-            for session in list(self._sessions):
-                resends, exhausted = session.inflight.due(
-                    now, self.retry_timeout_ms, self.max_retries
-                )
-                if exhausted:
-                    logger.warning(
-                        "dropping %s: retries exhausted", session.client_id
-                    )
-                    self._drop(session)
-                    continue
-                for publish in resends:
-                    self._send(session, publish)
+        for session in list(self._sessions):
+            resends, exhausted = session.inflight.due(
+                now, self.retry_timeout_ms, self.max_retries
+            )
+            if exhausted:
+                logger.warning("dropping %s: retries exhausted", session.client_id)
+                self._drop(session)
+                continue
+            for publish in resends:
+                self._send(session, publish)
 
     # -- internals -------------------------------------------------------
 
@@ -320,29 +309,23 @@ class Broker:
         return route
 
     def _drain_internal(self) -> None:
-        """Deliver queued internal subscriptions outside the core lock.
+        """Deliver queued internal subscriptions, oldest first.
 
-        One thread drains at a time; re-entrant publishes from a callback
-        append to the queue and are handled by the outermost drainer, so the
-        cascade still completes before the original call returns.
+        Only the outermost call drains: a callback's re-entrant publishes
+        append to the queue and are delivered after the deliveries already
+        queued (breadth first), and the cascade still completes before the
+        original call returns. Event-time outputs depend on this order.
         """
-        with self._drain_flag_lock:
-            if self._draining:
-                return
-            self._draining = True
-        while True:
-            try:
-                callback, topic, payload = self._internal_pending.popleft()
-            except IndexError:
-                with self._drain_flag_lock:
-                    if not self._internal_pending:
-                        self._draining = False
-                        return
-                continue
+        if self._draining:
+            return
+        self._draining = True
+        while self._internal_pending:
+            callback, topic, payload = self._internal_pending.popleft()
             try:
                 callback(topic, payload)
             except Exception:
                 logger.exception("internal subscriber for %s raised", topic)
+        self._draining = False
 
     def _send(self, session: Session, packet: Packet) -> None:
         if session.endpoint is None or session.endpoint.closed:
@@ -354,10 +337,9 @@ class Broker:
         session.endpoint.send(encode_packet(packet))
 
     def _on_endpoint_closed(self, session: Session) -> None:
-        with self._lock:
-            if session in self._sessions:
-                self._sessions.remove(session)
-            self._routes.clear()
+        if session in self._sessions:
+            self._sessions.remove(session)
+        self._routes.clear()
 
     def _drop(self, session: Session) -> None:
         if session in self._sessions:
@@ -367,5 +349,4 @@ class Broker:
             session.endpoint.close()
 
     def session_count(self) -> int:
-        with self._lock:
-            return len(self._sessions)
+        return len(self._sessions)

@@ -10,7 +10,6 @@ accounting in the harness is measured from the node's perspective.
 from __future__ import annotations
 
 import logging
-import threading
 from typing import Callable
 
 from ..errors import AtmosphereError, TransportError
@@ -49,7 +48,6 @@ class MqttClient:
         self.retry_timeout_ms = retry_timeout_ms
         self.max_retries = max_retries
         self._endpoint: Endpoint | None = None
-        self._lock = threading.RLock()
         self._buffer = bytearray()
         self._connected = False
         self._pending_subacks: set[int] = set()
@@ -74,36 +72,33 @@ class MqttClient:
             raise TransportError(f"{self.client_id}: no CONNACK within {timeout_s}s")
 
     def subscribe(self, filters: list[tuple[str, int]], timeout_s: float = 5.0) -> None:
-        with self._lock:
-            pid = self.inflight.allocate_packet_id(self._pending_subacks)
-            self._pending_subacks.add(pid)
-            self._send(Subscribe(packet_id=pid, filters=tuple(filters)))
+        pid = self.inflight.allocate_packet_id(self._pending_subacks)
+        self._pending_subacks.add(pid)
+        self._send(Subscribe(packet_id=pid, filters=tuple(filters)))
         if not self._endpoint.wait_until(lambda: pid not in self._pending_subacks, timeout_s):
             raise TransportError(f"{self.client_id}: no SUBACK within {timeout_s}s")
 
     def publish(self, topic: str, payload: bytes, qos: int = 0) -> int | None:
         """Publish; returns the packet id for QoS 1, None for QoS 0."""
-        with self._lock:
-            if qos == 0:
-                self.counters["publish_sent"] += 1
-                self._send(Publish(topic=topic, payload=payload, qos=0))
-                return None
-            publish = self.inflight.open(topic, payload, self._clock(), self._pending_subacks)
+        if qos == 0:
             self.counters["publish_sent"] += 1
-            self._send(publish)
-            return publish.packet_id
+            self._send(Publish(topic=topic, payload=payload, qos=0))
+            return None
+        publish = self.inflight.open(topic, payload, self._clock(), self._pending_subacks)
+        self.counters["publish_sent"] += 1
+        self._send(publish)
+        return publish.packet_id
 
     def tick(self, now_ms: int | None = None) -> None:
         """Re-send unacked QoS 1 publishes past the retry timeout."""
         now = self._clock() if now_ms is None else now_ms
-        with self._lock:
-            resends, exhausted = self.inflight.due(now, self.retry_timeout_ms, self.max_retries)
-            for pid in exhausted:
-                logger.warning("%s: giving up on publish %d", self.client_id, pid)
-                del self.inflight[pid]
-            for publish in resends:
-                self.counters["publish_sent"] += 1
-                self._send(publish)
+        resends, exhausted = self.inflight.due(now, self.retry_timeout_ms, self.max_retries)
+        for pid in exhausted:
+            logger.warning("%s: giving up on publish %d", self.client_id, pid)
+            del self.inflight[pid]
+        for publish in resends:
+            self.counters["publish_sent"] += 1
+            self._send(publish)
 
     def disconnect(self) -> None:
         if self._endpoint is not None and not self._endpoint.closed:
@@ -115,27 +110,25 @@ class MqttClient:
         self._connected = False
 
     def inflight_count(self) -> int:
-        with self._lock:
-            return len(self.inflight)
+        return len(self.inflight)
 
     # -- inbound ----------------------------------------------------------
 
     def _feed(self, data: bytes) -> None:
-        with self._lock:
-            buffer = self._buffer
-            buffer.extend(data)
-            while buffer:
-                try:
-                    decoded = decode_packet(buffer)
-                except AtmosphereError as exc:
-                    logger.error("%s: protocol error: %s", self.client_id, exc)
-                    self.disconnect()
-                    return
-                if decoded is None:
-                    return
-                packet, consumed = decoded
-                del buffer[:consumed]
-                self._handle(packet)
+        buffer = self._buffer
+        buffer.extend(data)
+        while buffer:
+            try:
+                decoded = decode_packet(buffer)
+            except AtmosphereError as exc:
+                logger.error("%s: protocol error: %s", self.client_id, exc)
+                self.disconnect()
+                return
+            if decoded is None:
+                return
+            packet, consumed = decoded
+            del buffer[:consumed]
+            self._handle(packet)
 
     def _handle(self, packet) -> None:
         if isinstance(packet, ConnAck):

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from dataclasses import dataclass, field
 
-from ..cep import Engine
 from ..errors import AtmosphereError, ConfigError
 from ..events import Event, SchemaRegistry, decode_event, encode_event
 from ..mqtt import MqttClient
 from ..patterns import PatternDef
+from .host import EngineHost
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +53,7 @@ def _walk_path(doc, path: str):
     return node
 
 
-class CloudNode:
+class CloudNode(EngineHost):
     def __init__(
         self,
         node_id: str,
@@ -64,17 +63,13 @@ class CloudNode:
         transformers: list[TransformerSpec],
         sinks: list[SinkSpec],
         mode: str,
-        start_ms: int = 0,
         qos: int = 0,
         clock=None,
         wall_clock=None,
     ):
-        self.node_id = node_id
-        self.registry = registry
+        super().__init__(node_id, registry, mode, wall_clock)
         self.qos = qos
         self._clock = clock or (lambda: 0)
-        self._lock = threading.RLock()
-        self.engine = Engine(node_id, registry, mode=mode, start_ms=start_ms, wall_clock=wall_clock)
         self.transformers = {t.id: t for t in transformers}
         self.sources = {s.topic: s for s in sources}
         self._sink_by_target: dict[str, SinkSpec] = {}
@@ -96,10 +91,7 @@ class CloudNode:
                 )
             self.engine.deploy(pattern)
         self.client: MqttClient | None = None
-        self.dead_letters: list[tuple[str, str]] = []
         self.notifications: list[dict] = []
-        self.emission_log: list = []
-        self.routed_count = 0
 
     def attach(self, client: MqttClient) -> None:
         """Wire an already-connected broker client and subscribe the sources."""
@@ -108,34 +100,22 @@ class CloudNode:
         if self.sources:
             client.subscribe([(topic, self.qos) for topic in self.sources])
 
-    @property
-    def ingest_count(self) -> int:
-        return self.engine.ingest_count
-
     def on_message(self, topic: str, payload: bytes) -> None:
-        with self._lock:
-            source = self.sources.get(topic)
-            if source is None:
-                logger.debug("%s: ignoring message on %s", self.node_id, topic)
-                return
-            transformer = self.transformers[source.transformer]
-            try:
-                event = self._transform(transformer, payload)
-                emissions = self.engine.ingest(event)
-            except AtmosphereError as exc:
-                self._dead_letter(f"{transformer.id}: {exc}", payload)
-                return
-            except KeyError as exc:
-                self._dead_letter(f"{transformer.id}: missing source path {exc}", payload)
-                return
-            self._route(emissions)
-
-    def advance(self, to_ms: int) -> None:
-        with self._lock:
-            # a wall-clock reading captured before an ingest stamped a newer
-            # time must not read as a regression
-            to_ms = max(to_ms, self.engine.clock.current)
-            self._route(self.engine.advance_clock(to_ms))
+        source = self.sources.get(topic)
+        if source is None:
+            logger.debug("%s: ignoring message on %s", self.node_id, topic)
+            return
+        transformer = self.transformers[source.transformer]
+        try:
+            event = self._transform(transformer, payload)
+            emissions = self.engine.ingest(event)
+        except AtmosphereError as exc:
+            self._dead_letter(f"{transformer.id}: {exc}", payload)
+            return
+        except KeyError as exc:
+            self._dead_letter(f"{transformer.id}: missing source path {exc}", payload)
+            return
+        self._route(emissions)
 
     def _transform(self, transformer: TransformerSpec, payload: bytes) -> Event:
         if transformer.kind == "passthrough":
@@ -179,7 +159,3 @@ class CloudNode:
                         "fields": emission.event.fields,
                     }
                 )
-
-    def _dead_letter(self, reason: str, payload: bytes) -> None:
-        logger.warning("%s dead-letter: %s", self.node_id, reason)
-        self.dead_letters.append((reason, payload[:200].decode("utf-8", "replace")))

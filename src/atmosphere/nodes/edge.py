@@ -140,13 +140,6 @@ class EdgeNode:
     def _on_gateway_message(self, message: AclMessage) -> None:
         if self.on_acl is not None:
             self.on_acl(message)
-        if message.stream == RULE_UPDATE_STREAM:
-            agent_id = message.content.get("agent")
-            rule_doc = message.content.get("rule")
-            if agent_id in self.agents and isinstance(rule_doc, dict):
-                self.mailboxes[agent_id].append(_RuleUpdate(agent_id, rule_doc))
-                self.has_work = True
-            return
         receivers = (
             list(self.agents)
             if message.receivers == "broadcast"

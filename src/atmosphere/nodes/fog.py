@@ -9,20 +9,15 @@ never subscribed here, which is what keeps user traffic out of the engine.
 
 from __future__ import annotations
 
-import logging
-import threading
-
-from ..cep import Engine
 from ..errors import AtmosphereError, ConfigError
 from ..events import SchemaRegistry, decode_event, encode_event
 from ..mqtt import Broker
 from ..patterns import PatternDef
 from . import topics
+from .host import EngineHost
 
-logger = logging.getLogger(__name__)
 
-
-class FogNode:
+class FogNode(EngineHost):
     def __init__(
         self,
         node_id: str,
@@ -30,20 +25,13 @@ class FogNode:
         registry: SchemaRegistry,
         patterns: list[PatternDef],
         mode: str,
-        start_ms: int = 0,
         extra_inputs: tuple = (),
         qos: int = 0,
         wall_clock=None,
     ):
-        self.node_id = node_id
+        super().__init__(node_id, registry, mode, wall_clock)
         self.broker = broker
-        self.registry = registry
         self.qos = qos
-        self.engine = Engine(node_id, registry, mode=mode, start_ms=start_ms, wall_clock=wall_clock)
-        self._lock = threading.RLock()
-        self.dead_letters: list[tuple[str, str]] = []
-        self.emission_log: list = []
-        self.routed_count = 0
         for pattern in patterns:
             if pattern.target is None:
                 raise ConfigError(
@@ -54,30 +42,18 @@ class FogNode:
         for topic in extra_inputs:
             broker.subscribe_internal(topic, self.on_payload)
 
-    @property
-    def ingest_count(self) -> int:
-        return self.engine.ingest_count
-
     def on_payload(self, topic: str, payload: bytes) -> None:
-        with self._lock:
-            try:
-                event = decode_event(payload, self.registry)
-            except AtmosphereError as exc:
-                self._dead_letter(f"decode failed on {topic}: {exc}", payload)
-                return
-            try:
-                emissions = self.engine.ingest(event)
-            except AtmosphereError as exc:
-                self._dead_letter(f"ingest failed on {topic}: {exc}", payload)
-                return
-            self._route(emissions)
-
-    def advance(self, to_ms: int) -> None:
-        with self._lock:
-            # a wall-clock reading captured before an ingest stamped a newer
-            # time must not read as a regression
-            to_ms = max(to_ms, self.engine.clock.current)
-            self._route(self.engine.advance_clock(to_ms))
+        try:
+            event = decode_event(payload, self.registry)
+        except AtmosphereError as exc:
+            self._dead_letter(f"decode failed on {topic}: {exc}", payload)
+            return
+        try:
+            emissions = self.engine.ingest(event)
+        except AtmosphereError as exc:
+            self._dead_letter(f"ingest failed on {topic}: {exc}", payload)
+            return
+        self._route(emissions)
 
     def _route(self, emissions) -> None:
         for emission in emissions:
@@ -89,7 +65,3 @@ class FogNode:
             self.emission_log.append(emission)
             self.routed_count += 1
             self.broker.publish_internal(topic, payload, qos=self.qos)
-
-    def _dead_letter(self, reason: str, payload: bytes) -> None:
-        logger.warning("%s dead-letter: %s", self.node_id, reason)
-        self.dead_letters.append((reason, payload[:200].decode("utf-8", "replace")))

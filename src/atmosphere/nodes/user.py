@@ -7,14 +7,13 @@ from __future__ import annotations
 import json
 import logging
 
+from ..agents import RULE_UPDATE_STREAM
 from ..errors import AtmosphereError
 from ..events import SchemaRegistry, decode_event
 from ..mqtt import MqttClient
 from . import topics
 
 logger = logging.getLogger(__name__)
-
-RULE_UPDATE_STREAM = "RuleUpdate"
 
 
 class UserNode:

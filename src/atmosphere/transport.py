@@ -9,7 +9,8 @@ Three interchangeable flavors carry the same traffic:
   the wall-clock benchmark harness so latency includes real queueing.
 * :class:`TcpServer` / :func:`connect_tcp`: plain TCP on a :class:`Loop`.
 
-One thread runs a loop and its endpoints, which are not thread-safe.
+Nothing in the package is thread-safe, these endpoints included: each
+process runs every node it hosts, and their links, on one thread.
 Endpoints expose ``send(bytes)``, an ``on_receive`` callback slot,
 ``wait_until`` and ``close()``. Framing is the caller's concern (MQTT
 packets are self-delimiting; the gateway uses a 4-byte length prefix).
@@ -66,7 +67,8 @@ class Loop:
 
         A turn waits for socket events until the next timer or the deadline
         is due, or only polls while deliveries are queued, then runs the
-        deliveries queued by then and the due timers.
+        deliveries queued by then and the timers due by then; a timer that
+        yields a time already past runs on the next turn.
         """
         deadline = math.inf if timeout_s is None else time.monotonic() + timeout_s
         ready, timers = self.ready, self._timers
@@ -88,8 +90,11 @@ class Loop:
                 except Exception:
                     logger.exception("receiver for %s raised", endpoint.name)
             now = time.monotonic()
+            due = []
             while timers and timers[0][0] <= now:
-                self.start(heapq.heappop(timers)[2])
+                due.append(heapq.heappop(timers)[2])
+            for task in due:
+                self.start(task)
             self.after_turn()
         return True
 

@@ -317,7 +317,7 @@ class TestCloudNode:
 
 
 class TestEdgeNode:
-    def build(self):
+    def build(self, specs=None):
         registry = registry_with(
             EventSchema("Ping", {"n": "integer"}),
             EventSchema("ExternalLight", {"isOn": "boolean", "floor": "integer"}),
@@ -325,9 +325,8 @@ class TestEdgeNode:
         broker = Broker()
         fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)], mode=EVENT_TIME)
         gateway = GatewayServer()
-        specs = []
-        for i in range(6):
-            specs.append(
+        if specs is None:
+            specs = [
                 parse_agent_spec(
                     {
                         "id": f"e1.a{i}",
@@ -342,7 +341,8 @@ class TestEdgeNode:
                     },
                     path=f"/agents/{i}",
                 )
-            )
+                for i in range(6)
+            ]
         edge = EdgeNode("e1", "f1", specs, registry, clock=lambda: 0)
         edge.attach_broker(attach_client(broker, "e1"))
         gw_client_end, gw_server_end = make_sync_pair()
@@ -371,6 +371,36 @@ class TestEdgeNode:
         from atmosphere.agents import LogLine
 
         assert sorted(e.agent_id for e in edge.effect_log if isinstance(e, LogLine)) == list(named)
+
+    def test_agent_message_on_rule_update_stream_reaches_its_receiver(self):
+        sender = {
+            "id": "e1.tx",
+            "sensors": ["s"],
+            "rules": [{
+                "id": "tell",
+                "trigger": {"kind": "sensor", "sensor": "s"},
+                "actions": [{"kind": "send", "receivers": ["e1.rx"],
+                             "stream": "RuleUpdate", "fields": {"value": "$value"}}],
+            }],
+        }
+        receiver = {
+            "id": "e1.rx",
+            "sensors": ["s"],
+            "rules": [{
+                "id": "hear",
+                "trigger": {"kind": "message", "stream": "RuleUpdate"},
+                "actions": [{"kind": "log", "template": "heard $value"}],
+            }],
+        }
+        specs = [parse_agent_spec(doc, path=f"/agents/{i}") for i, doc in enumerate((sender, receiver))]
+        registry, broker, fog, gateway, edge = self.build(specs)
+        edge.inject_sensor("e1.tx", "s", 7, at=5)
+        edge.pump()
+        from atmosphere.agents import LogLine
+
+        assert [(e.agent_id, e.text) for e in edge.effect_log if isinstance(e, LogLine)] == [
+            ("e1.rx", "heard 7")
+        ]
 
     def test_fog_emission_stimulates_matching_agents(self):
         registry, broker, fog, gateway, edge = self.build()

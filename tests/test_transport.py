@@ -39,6 +39,23 @@ class TestLoop:
         assert time.monotonic() - start >= 0.02
         loop.close()
 
+    def test_a_task_due_in_the_past_runs_once_per_turn(self):
+        loop = Loop()
+        resumes = 0
+        seen = []
+
+        def always_due():
+            nonlocal resumes
+            for _ in range(5):
+                resumes += 1
+                yield 0.0
+
+        loop.after_turn = lambda: seen.append(resumes)
+        loop.start(always_due())
+        assert loop.run_until(lambda: len(seen) >= 3, 1.0)
+        assert seen[:3] == [2, 3, 4]
+        loop.close()
+
     def test_wait_returns_false_at_its_deadline(self):
         loop = Loop()
         start = time.monotonic()
