@@ -1,4 +1,4 @@
-from .engine import EVENT_TIME, PROCESSING_TIME, Emission, Engine, EngineClock
+from .engine import Emission, Engine, EngineClock
 from .infer import check_predicate_types, infer_output_schema, register_output_schema
 from .oracle import oracle_replay
 
@@ -6,8 +6,6 @@ __all__ = [
     "Engine",
     "EngineClock",
     "Emission",
-    "EVENT_TIME",
-    "PROCESSING_TIME",
     "oracle_replay",
     "infer_output_schema",
     "check_predicate_types",

@@ -3,10 +3,10 @@
 One engine hosts a DAG of deployed patterns. Ingesting an event advances the
 engine clock, first firing every tumbling-window boundary crossed, then
 routing the event; emissions cascade into downstream patterns within the same
-call. In ``event_time`` mode the clock moves only with event timestamps and
-explicit :meth:`Engine.advance_clock` calls, which makes a replay of the same
-log byte-identical. ``processing_time`` mode stamps arrivals with a wall
-clock for live runs.
+call. Without a wall clock (event time) the clock moves only with event
+timestamps and explicit :meth:`Engine.advance_clock` calls, which makes a
+replay of the same log byte-identical. Given one (processing time), the
+engine stamps arrivals with it, for live runs.
 
 Instant ordering model
 ----------------------
@@ -47,13 +47,9 @@ from ..patterns import (
 )
 from .infer import check_predicate_types, register_output_schema
 
-EVENT_TIME = "event_time"
-PROCESSING_TIME = "processing_time"
-
 
 @dataclass
 class EngineClock:
-    mode: str = EVENT_TIME
     current: int = 0
 
 
@@ -110,18 +106,15 @@ class _Deployed:
     BATCH = "batch"
     CONJUNCTION = "conjunction"
 
-    def __init__(
-        self, pattern: PatternDef, registry: SchemaRegistry, topo: int, start_ms: int, now_ms: int
-    ):
+    def __init__(self, pattern: PatternDef, registry: SchemaRegistry, topo: int, now_ms: int):
         self.pattern = pattern
         self.topo = topo
         self.name = pattern.name
         self.emit_seq = 0
         self.window_ms = pattern.window.to_ms() if pattern.window else None
         self.next_boundary: int | None = None
-        if self.window_ms:
-            elapsed = max(0, now_ms - start_ms)
-            self.next_boundary = start_ms + (elapsed // self.window_ms + 1) * self.window_ms
+        if self.window_ms:  # tumbling windows from time 0
+            self.next_boundary = (now_ms // self.window_ms + 1) * self.window_ms
         self.bindings = list(pattern.bindings)
         self.compiled = [_compile_binding(b) for b in self.bindings]
         if pattern.is_conjunction:
@@ -349,22 +342,13 @@ class _Deployed:
 
 
 class Engine:
-    """Pattern host for one fog or cloud node."""
+    """Pattern host for one fog or cloud node; ``wall_clock``, when given,
+    stamps each arrival (processing time)."""
 
-    def __init__(
-        self,
-        node_id: str,
-        registry: SchemaRegistry,
-        mode: str = EVENT_TIME,
-        start_ms: int = 0,
-        wall_clock=None,
-    ):
-        if mode not in (EVENT_TIME, PROCESSING_TIME):
-            raise ValueError(f"unknown clock mode {mode!r}")
+    def __init__(self, node_id: str, registry: SchemaRegistry, wall_clock=None):
         self.node_id = node_id
         self.registry = registry
-        self.clock = EngineClock(mode=mode, current=start_ms)
-        self.start_ms = start_ms
+        self.clock = EngineClock()
         self._wall_clock = wall_clock
         self._deployed: list[_Deployed] = []
         self._by_name: dict[str, _Deployed] = {}
@@ -414,7 +398,6 @@ class Engine:
             pattern,
             self.registry,
             topo=len(self._deployed),
-            start_ms=self.start_ms,
             now_ms=self.clock.current,
         )
         self._deployed.append(deployed)
@@ -460,15 +443,14 @@ class Engine:
         """Apply one event; returns the cascade of emissions it produced."""
         if event.stream not in self.registry:
             raise UnknownStreamError(event.stream)
-        if self.clock.mode == EVENT_TIME:
+        if self._wall_clock is None:
             ts = event.timestamp
             if ts < self.clock.current:
                 raise TimeRegressionError(
                     f"event at {ts} behind engine clock {self.clock.current}"
                 )
         else:
-            wall = self._wall_clock() if self._wall_clock else event.timestamp
-            ts = max(self.clock.current, wall)
+            ts = max(self.clock.current, self._wall_clock())
         self._ingest_count += 1
         out: list[Emission] = []
         self._advance_to(ts, out)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from ..agents import parse_agent_spec
 from ..cep import check_predicate_types, register_output_schema
-from ..errors import AtmosphereError, ConfigError
+from ..errors import AtmosphereError, ConfigError, SchemaError
 from ..events import EventSchema, FIELD_TYPES, SchemaRegistry
 from ..nodes import SinkSpec, SourceSpec, TransformerSpec
 from ..patterns import PatternDef, parse_patterns
@@ -184,6 +184,18 @@ def _parse_generator(doc: dict, path: str) -> dict:
         if not isinstance(p, (int, float)) or not 0 <= p <= 1:
             raise ConfigError("bernoulli generator needs p in [0, 1]", path)
     return dict(doc)
+
+
+def _sample_values(generator: dict) -> list:
+    """Values of every type ``generator`` can produce, its bounds included."""
+    kind = generator["kind"]
+    if kind == "constant":
+        return [generator["value"]]
+    if kind == "choice":
+        return generator["values"]
+    if kind == "uniform_int":
+        return [generator["low"], generator["high"]]
+    return [True] if kind == "bernoulli" else [1]  # a sequence counts from 1
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -361,6 +373,13 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise ConfigError(
                 f"generators must cover the {stream!r} schema exactly", sim_path
             )
+        for fname, generator in generators.items():
+            try:
+                for value in _sample_values(generator):
+                    schema.coerce_value(fname, value)
+            except SchemaError as exc:
+                raise ConfigError(f"generator cannot feed the field: {exc}",
+                                  f"{sim_path}/fields/{fname}") from None
         simulators.append(
             SimulatorSpec(
                 edge=edge,

@@ -7,20 +7,22 @@ One builder, :class:`Deployment`, wires the nodes over links of one kind:
 loop) or ``tcp`` (local sockets on that loop, for a run split over OS
 processes, see :mod:`.procs`). Its :class:`Placement` says which nodes this
 process hosts: the core tier (broker, gateways, fogs, clouds, user node and
-feeder) and which edges; by default, everything. Two drivers run a
-deployment, each on one thread, and both run the same input tasks (the
-timeline, each simulator, each edge's agent timers): generators that yield
-when their next input is due. No input due after the run's duration applies.
+feeder) and which edges; by default, everything.
 
-* ``event_time``: synchronous links and a logical clock. One heap orders the
-  tasks; ties run in a rank fixed at the start (timeline, simulators, edges),
-  and the edges are pumped after every resumed task. Byte-identical output
-  for a given seed; used for all correctness runs.
-* ``processing_time`` (:func:`drive`): the deployment's loop, each task a
-  timer on the wall clock; used for the latency/throughput benches, in one
-  process or in each process of a split deployment. Latency is measured on
-  the edge node from a send's due time to the return of the matching
-  complex event.
+One driver, :func:`drive`, runs a deployment's tasks on its loop: the
+engines' window boundaries, then the timeline, each simulator and each
+edge's agent timers, generators that yield when they are next due. Ties run
+in start order; the edges are pumped after every turn. No input due after
+the duration applies, and one that raises an :class:`AtmosphereError` is
+logged and ends there.
+
+* ``event_time``: sync links, the loop on a virtual clock (a
+  :class:`LogicalClock`). Byte-identical output for a given seed; used for
+  all correctness runs.
+* ``processing_time``: queued (or tcp) links on the wall clock, plus a 50 ms
+  tick and a CPU sample; the benches, in one process or in each of a split
+  run. Latency is measured on the edge from a send's due time to the return
+  of the matching complex event.
 
 The bench convention: every simulator event carries a ``rid`` field, the fog
 echoes it back on the edge output topic, and the edge records the round trip.
@@ -31,7 +33,6 @@ gateway never starts (no ACL traffic at all).
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import time
@@ -50,6 +51,7 @@ from .metrics import MetricsSink, RunReport
 logger = logging.getLogger(__name__)
 
 SATURATION_HIGH_WATER = 1000
+SATURATION_LAG_S = 0.1  # a send this late falls in the paper's top latency bucket
 SATURATION_HOLD_S = 5.0
 DRAIN_S = 10.0
 ECHO_SERVICE = "echo"
@@ -134,7 +136,8 @@ def _probe_spec(edge_id: str):
 class Deployment:
     """The nodes of one scenario that ``placement`` puts in this process,
     wired to one broker and per-fog gateways by links of kind ``link``
-    (``sync``, ``queue`` or ``tcp``); all but sync links run on ``loop``."""
+    (``sync``, ``queue`` or ``tcp``); all but sync links run on ``loop``,
+    whose clock is ``clock`` in event time and the wall clock otherwise."""
 
     def __init__(self, config: ScenarioConfig, run: RunDefaults, clock, link: str,
                  placement: Placement = Placement()):
@@ -144,11 +147,11 @@ class Deployment:
         self.link = link
         self.placement = placement
         self.registry = config.build_registry()
-        self.loop = None if link == "sync" else Loop()
+        event_time = run.clock == "event_time"
+        self.loop = Loop(clock if event_time else None)
         # under tcp, where the core serves: {"broker": port, "gateways": {fog: port}}
         self.ports = placement.core_ports
-        engine_mode = run.clock
-        wall = clock if run.clock == "processing_time" else None
+        wall = None if event_time else clock  # the engines stamp arrivals with it
 
         self.broker: Broker | None = None
         self.gateways: dict[str, GatewayServer] = {}
@@ -183,7 +186,6 @@ class Deployment:
                         self.broker,
                         self.registry,
                         list(fog_cfg.patterns),
-                        mode=engine_mode,
                         extra_inputs=fog_cfg.extra_inputs,
                         qos=run.qos,
                         wall_clock=wall,
@@ -198,7 +200,6 @@ class Deployment:
                     sources=list(cloud_cfg.sources),
                     transformers=list(cloud_cfg.transformers),
                     sinks=list(cloud_cfg.sinks),
-                    mode=engine_mode,
                     qos=run.qos,
                     clock=clock,
                     wall_clock=wall,
@@ -239,7 +240,7 @@ class Deployment:
     def _pair(self, name_a: str, name_b: str, attach):
         """An in-process link, queued on the loop unless sync; ``attach``
         takes the far end, the near end is returned."""
-        a, b = make_queue_pair(name_a, name_b, self.loop)
+        a, b = make_queue_pair(name_a, name_b, None if self.link == "sync" else self.loop)
         attach(b)
         return a
 
@@ -277,30 +278,6 @@ class Deployment:
 
     # -- teardown / flushing -------------------------------------------------------
 
-    def advance_engines(self, to_ms: int) -> None:
-        """Advance every engine to ``to_ms`` in lockstep.
-
-        Boundaries fire in global time order across nodes so that an emission
-        crossing nodes (cloud -> fog, say) never lands behind the receiving
-        engine's clock. Edge mailboxes are pumped at each instant so agent
-        reactions happen at the boundary time they belong to.
-        """
-        nodes = list(self.fogs.values()) + list(self.clouds.values())
-        while True:
-            due = None
-            for node in nodes:
-                boundary = node.engine.next_boundary()
-                if boundary is not None and boundary <= to_ms:
-                    due = boundary if due is None else min(due, boundary)
-            if due is None:
-                break
-            for node in nodes:
-                node.advance(due)
-            self.pump_edges()
-        for node in nodes:
-            node.advance(to_ms)
-        self.pump_edges()
-
     def pump_edges(self) -> int:
         """Pump flagged edges, in order, until a pass moves nothing.
 
@@ -321,8 +298,7 @@ class Deployment:
         for edge in self.edges.values():
             if edge.gateway_client is not None:
                 edge.gateway_client.close()
-        if self.loop is not None:
-            self.loop.close()  # and with it every socket, the servers too
+        self.loop.close()  # and with it every socket, the servers too
 
     # -- accounting -----------------------------------------------------------------
 
@@ -383,24 +359,25 @@ def run_scenario(
         from .procs import run_in_processes
 
         return run_in_processes(config, run, rate_override)
-    if run.clock == "event_time":
-        return _run_event_time(config, run, rate_override)
-    clock = WallClock()  # the origin precedes the build: sends are due from it
-    return drive(Deployment(config, run, clock, "queue"), rate_override)
+    # a wall clock's origin precedes the build: sends are due from it
+    clock, link = (LogicalClock(), "sync") if run.clock == "event_time" else (WallClock(), "queue")
+    return drive(Deployment(config, run, clock, link), rate_override)
 
 
-# -- the run's inputs ---------------------------------------------------------------
+# -- the run's tasks ----------------------------------------------------------------
 
 
-def _input_tasks(deployment: Deployment, sink: MetricsSink, rate_override, due) -> list:
-    """The input tasks in rank order: the timeline, one per hosted simulator
-    and, in full mode, one per hosted edge for its agent timers. Each yields
-    ``due(at_ms)`` before each input, ``at_ms`` its offset from the run's
-    start. Simulator i numbers its round trips on from the rid-bearing sends
-    of the simulators before it, so every placement gives the same ids."""
+def _tasks(deployment: Deployment, sink: MetricsSink, rate_override, due) -> list:
+    """The run's tasks in rank order: the engine boundaries first, so that a
+    boundary runs before the inputs due in its ms, the timeline, one per
+    hosted simulator and, in full mode, one per hosted edge for its agent
+    timers. Each yields ``due(at_ms)`` when next due, ``at_ms`` an offset
+    from the run's start. Simulator i numbers its round trips on from the
+    rid-bearing sends of the simulators before it, so every placement gives
+    the same ids."""
     config, run = deployment.config, deployment.run
     duration_ms = int(run.duration_s * 1000)
-    tasks = [_timeline(deployment, due, duration_ms)]
+    tasks = [_engine_boundaries(deployment, due, duration_ms), _timeline(deployment, due, duration_ms)]
     rid = 0
     for index, sim in enumerate(config.simulators):
         rate = rate_override if rate_override is not None else sim.rate
@@ -410,8 +387,25 @@ def _input_tasks(deployment: Deployment, sink: MetricsSink, rate_override, due) 
         if "rid" in sim.generators:
             rid += int(rate * run.duration_s)  # the length of its emission_times_ms
     if run.mode == "full":  # timer rules fire in full-architecture runs only
-        tasks += [_agent_timers(edge, due, duration_ms) for edge in deployment.edges.values()]
+        tasks += [_agent_timers(deployment, edge, due, duration_ms) for edge in deployment.edges.values()]
     return tasks
+
+
+def _engine_boundaries(deployment: Deployment, due, duration_ms: int):
+    """The engines' window boundaries up to the run's duration, earliest
+    first. Every engine advances to each in turn, so that boundaries fire in
+    time order across nodes and an emission crossing nodes (cloud -> fog,
+    say) never lands behind the receiving engine's clock; the edges are
+    pumped after the turn, at the boundary time their reactions belong to."""
+    nodes = list(deployment.fogs.values()) + list(deployment.clouds.values())
+    while True:
+        boundaries = [node.engine.next_boundary() for node in nodes]
+        at_ms = min((b for b in boundaries if b is not None), default=None)
+        if at_ms is None or at_ms > duration_ms:
+            return
+        yield due(at_ms)
+        for node in nodes:
+            node.advance(at_ms)
 
 
 def _timeline(deployment: Deployment, due, duration_ms: int):
@@ -446,48 +440,20 @@ def _simulate(deployment: Deployment, sink: MetricsSink, sim, seed: int, rate: f
         _emit_probe(deployment, sink, sim.edge, sim.stream, fields, at_ms)
 
 
-def _agent_timers(edge: EdgeNode, due, duration_ms: int):
+def _agent_timers(deployment: Deployment, edge: EdgeNode, due, duration_ms: int):
     """``edge``'s timer rules, one fire per resume, counted from the run's
-    start up to its duration."""
+    start up to its duration. With no timer due by then the task waits for
+    the duration, and a rule update that starts a timer sooner resumes it
+    then (``EdgeNode.on_timer``)."""
+    loop, rank = deployment.loop, deployment.loop.running
+    edge.on_timer = lambda at_ms: loop.wake(rank, due(at_ms))
     at_ms = edge.start_timers(0)
-    while at_ms is not None and at_ms <= duration_ms:
-        yield due(at_ms)
-        at_ms = edge.tick_timers(at_ms)
-
-
-# -- event-time driver ------------------------------------------------------------
-
-
-def _run_event_time(config: ScenarioConfig, run: RunDefaults, rate_override) -> RunReport:
-    clock = LogicalClock()
-    deployment = Deployment(config, run, clock, "sync")
-    sink = MetricsSink(run.qos, run.mode)
-    _wire_probe_hooks(deployment, sink, clock)
-    heap: list = []  # (at_ms, rank, task): ties run in the order listed
-
-    def resume(rank: int, task) -> None:
-        at_ms = next(task, None)
-        if at_ms is not None:
-            heapq.heappush(heap, (at_ms, rank, task))
-
-    try:
-        tasks = _input_tasks(deployment, sink, rate_override, due=lambda at_ms: at_ms)
-        for rank, task in enumerate(tasks):
-            resume(rank, task)
-        while heap:
-            at_ms, rank, task = heapq.heappop(heap)
-            if at_ms > clock.now:
-                # move global logical time forward first, firing any engine
-                # boundaries the input would otherwise leap over
-                deployment.advance_engines(at_ms)
-                clock.set(at_ms)
-            resume(rank, task)
-            deployment.pump_edges()
-        clock.set(int(run.duration_s * 1000))
-        deployment.advance_engines(clock.now)
-        return _collect(deployment, sink, run)
-    finally:
-        deployment.close()
+    while True:
+        yield due(duration_ms if at_ms is None else min(at_ms, duration_ms))
+        now_ms = min(deployment.clock(), duration_ms)
+        at_ms = edge.tick_timers(now_ms)
+        if now_ms == duration_ms and (at_ms is None or at_ms > duration_ms):
+            return
 
 
 def _emit_probe(deployment: Deployment, sink: MetricsSink, edge_id: str, stream: str,
@@ -516,28 +482,8 @@ def _emit_probe(deployment: Deployment, sink: MetricsSink, edge_id: str, stream:
     )
 
 
-def _wire_probe_hooks(deployment: Deployment, sink: MetricsSink, clock) -> None:
-    for edge in deployment.edges.values():
-
-        def on_event(topic, event, _sink=sink, _clock=clock):
-            rid = event.fields.get("rid")
-            if isinstance(rid, int):
-                _sink.received(rid, _clock())
-
-        def on_acl(message, _sink=sink, _clock=clock):
-            if message.sender != ECHO_SERVICE:
-                return
-            fields = message.content.get("fields")
-            rid = fields.get("rid") if isinstance(fields, dict) else None
-            if isinstance(rid, int):
-                _sink.received(rid, _clock())
-
-        edge.on_event = on_event
-        edge.on_acl = on_acl
-
-
 def _collect(deployment: Deployment, sink: MetricsSink, run: RunDefaults,
-             cpu_samples=None, saturated: bool = False) -> RunReport:
+             cpu_samples: list, saturated: bool) -> RunReport:
     dead = deployment.dead_letter_count()
     report = RunReport(
         scenario=deployment.config.name,
@@ -555,7 +501,7 @@ def _collect(deployment: Deployment, sink: MetricsSink, run: RunDefaults,
             "in_flight": sink.in_flight,
             "dead_lettered": dead,
         },
-        cpu_samples=cpu_samples or [],
+        cpu_samples=cpu_samples,
         saturated=saturated,
         emissions=deployment.emission_rows(),
         notifications=[n for c in deployment.clouds.values() for n in c.notifications],
@@ -573,39 +519,51 @@ def _collect(deployment: Deployment, sink: MetricsSink, run: RunDefaults,
     return report
 
 
-# -- processing-time driver ----------------------------------------------------------
+# -- the driver ------------------------------------------------------------------------
 
 
 def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
-    """Run ``deployment`` in processing time on its loop and report on the
-    nodes it hosts: the input tasks, each input due at, and stamped with,
-    its offset from the clock origin; then the wait for in-flight round
-    trips and acks.
+    """Run ``deployment`` on its loop and report on the nodes it hosts: the
+    engine boundaries and the input tasks, each input due at, and stamped
+    with, its offset from the clock origin; then the wait for in-flight
+    round trips and acks. On a virtual clock the run ends once nothing is
+    left to run, and the wall-time chores stay out.
 
     ``peers`` ties this process to the others of a split run:
     ``peers.ready()`` returns once this one may start sending, and after
     ``peers.drained()`` the loop runs on until ``peers.stop`` is set.
     """
     run, clock, loop = deployment.run, deployment.clock, deployment.loop
+    virtual = loop.clock is not None
     sink = MetricsSink(run.qos, run.mode)
-    _wire_probe_hooks(deployment, sink, clock)
     cpu_samples: list[tuple[int, str, float]] = []
     saturated = stopped = False
     calm_at = time.monotonic()  # when the ready deque last held no more than the high water
-    sending = 0  # input tasks not yet ended
+    late_at = None  # the first of the latest resumes in a row over SATURATION_LAG_S late
+    sending = 0  # tasks not yet ended
 
-    def due(at_ms: int) -> float:
-        # from the exact run start: ``clock()`` truncates to whole ms
-        return clock.start + at_ms / 1000.0
+    def due(at_ms: int):
+        # on the wall clock, from the exact run start: ``clock()`` truncates to whole ms
+        return at_ms if virtual else clock.start + at_ms / 1000.0
 
     def awaited(task):
         """``task``, counted in ``sending`` until it ends; saturation or a
-        failed input ends it early."""
-        nonlocal sending
+        failed input ends it early. On the wall clock, the run is saturated
+        once every resume for ``SATURATION_HOLD_S`` came over
+        ``SATURATION_LAG_S`` after its due time."""
+        nonlocal sending, saturated, late_at
         sending += 1
         try:
             for at in task:
                 yield at
+                if not virtual:
+                    now = time.monotonic()
+                    if now - at <= SATURATION_LAG_S:
+                        late_at = None
+                    elif late_at is None:
+                        late_at = now
+                    elif now - late_at > SATURATION_HOLD_S:
+                        saturated = True
                 if saturated:
                     break
         except AtmosphereError as exc:
@@ -636,6 +594,19 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
             cpu_samples.append((clock(), deployment.placement.label,
                                 100.0 * (cpu - last_cpu) / (wall - last_wall)))
 
+    def on_event(topic, event):  # a round trip's echo reached its edge
+        rid = event.fields.get("rid")
+        if isinstance(rid, int):
+            sink.received(rid, clock())
+
+    def on_acl(message):
+        if message.sender != ECHO_SERVICE:
+            return
+        fields = message.content.get("fields")
+        rid = fields.get("rid") if isinstance(fields, dict) else None
+        if isinstance(rid, int):
+            sink.received(rid, clock())
+
     def drained() -> bool:
         return saturated or (
             sink.in_flight == 0 and all(c.inflight_count() == 0 for c in deployment.clients)
@@ -644,12 +615,14 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
     try:
         if peers is not None:
             peers.ready()
+        for edge in deployment.edges.values():
+            edge.on_event, edge.on_acl = on_event, on_acl
         loop.after_turn = deployment.pump_edges  # it skips edges nothing has flagged
-        for task in (every(0.05, tick), every(0.1, lambda: deployment.advance_engines(clock())),
-                     sample_cpu()):
-            loop.start(task)
-        for task in _input_tasks(deployment, sink, rate_override, due):
+        for task in _tasks(deployment, sink, rate_override, due):
             loop.start(awaited(task))
+        if not virtual:
+            loop.start(every(0.05, tick))
+            loop.start(sample_cpu())
         loop.run_until(lambda: not sending or saturated, run.duration_s + 6.0)
         loop.run_until(drained, DRAIN_S)
         if peers is not None:
@@ -657,6 +630,6 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
             loop.run_until(lambda: stopped)
             loop.run_until(drained, DRAIN_S)
     finally:
-        report = _collect(deployment, sink, run, cpu_samples=cpu_samples, saturated=saturated)
+        report = _collect(deployment, sink, run, cpu_samples, saturated)
         deployment.close()
     return report

@@ -62,12 +62,11 @@ class CloudNode(EngineHost):
         sources: list[SourceSpec],
         transformers: list[TransformerSpec],
         sinks: list[SinkSpec],
-        mode: str,
         qos: int = 0,
         clock=None,
         wall_clock=None,
     ):
-        super().__init__(node_id, registry, mode, wall_clock)
+        super().__init__(node_id, registry, wall_clock)
         self.qos = qos
         self._clock = clock or (lambda: 0)
         self.transformers = {t.id: t for t in transformers}

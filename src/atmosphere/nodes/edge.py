@@ -3,7 +3,8 @@
 Each edge owns a set of agents (one room's devices, say), one broker session
 subscribed to the fog's edge-output topic and the user topic, and one gateway
 channel carrying ACL traffic. Stimuli go through per-agent FIFO mailboxes and
-are processed strictly serially per agent; rule updates apply between steps.
+are processed strictly serially per agent; rule updates apply between steps,
+and one that adds or replaces a timer rule starts its timer then.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class EdgeNode:
         self.dead_letters: list[str] = []
         self.on_event = None  # hook: (topic, Event) for fog-output deliveries
         self.on_acl = None  # hook: AclMessage received from the gateway
+        self.on_timer = None  # hook: the due time of a timer a rule update started
         self._timer_next: dict[tuple[str, str], int] = {}
         self._timer_count: dict[tuple[str, str], int] = {}
         self._consumers = self._index_consumers()
@@ -90,12 +92,14 @@ class EdgeNode:
         client.register(list(self.agents), at=self._clock())
 
     def start_timers(self, now_ms: int) -> int | None:
-        """Schedule the timer rules the agents hold now, each first due a
-        period after ``now_ms``; returns when the first one is due, ``None``
+        """Schedule the timer rules the agents hold now, in declaration
+        order (agents, then rules); one not yet scheduled is first due a
+        period after ``now_ms``. Returns when the first one is due, ``None``
         without timers."""
         self._timer_period = {(agent.id, rule.id): rule.trigger.period_ms
                               for agent in self.agents.values() for rule in agent.timer_rules()}
-        self._timer_next = {key: now_ms + period for key, period in self._timer_period.items()}
+        self._timer_next = {key: self._timer_next.get(key, now_ms + period)
+                            for key, period in self._timer_period.items()}
         return min(self._timer_next.values(), default=None)
 
     # -- inbound ------------------------------------------------------------------
@@ -173,9 +177,7 @@ class EdgeNode:
     def tick_timers(self, now_ms: int) -> int | None:
         """Fire the earliest timer due by ``now_ms``, if any (ties in
         declaration order, agents then rules); returns when the next one is
-        due, ``None`` without timers. The schedule is the one
-        :meth:`start_timers` made: a rule update neither adds nor drops a
-        timer."""
+        due, ``None`` without timers."""
         if not self._timer_next:
             return None
         key = min(self._timer_next, key=self._timer_next.__getitem__)
@@ -206,15 +208,27 @@ class EdgeNode:
                     processed += 1
                     progress = True
                     if isinstance(item, _RuleUpdate):
-                        try:
-                            agent.apply_rule_update(item.rule_doc)
-                        except AtmosphereError as exc:
-                            self.dead_letters.append(f"rule update for {agent_id}: {exc}")
-                        # an update can add or replace a message trigger
-                        self._consumers = self._index_consumers()
+                        self._apply_rule_update(agent, item.rule_doc)
                         continue
                     self._execute(agent, agent.step(item))
         return processed
+
+    def _apply_rule_update(self, agent: Agent, rule_doc: dict) -> None:
+        """Replace (by id) or add one of ``agent``'s rules. A timer rule it
+        adds or replaces is first due a period after now, and a replaced
+        rule's schedule goes."""
+        try:
+            rule = agent.apply_rule_update(rule_doc)
+        except AtmosphereError as exc:
+            self.dead_letters.append(f"rule update for {agent.id}: {exc}")
+            return
+        # an update can add or replace a message trigger
+        self._consumers = self._index_consumers()
+        key = (agent.id, rule.id)
+        self._timer_next.pop(key, None)
+        self.start_timers(self._clock())
+        if key in self._timer_next and self.on_timer is not None:
+            self.on_timer(self._timer_next[key])
 
     def _execute(self, agent: Agent, effects: list) -> None:
         for effect in effects:

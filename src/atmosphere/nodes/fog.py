@@ -24,12 +24,11 @@ class FogNode(EngineHost):
         broker: Broker,
         registry: SchemaRegistry,
         patterns: list[PatternDef],
-        mode: str,
         extra_inputs: tuple = (),
         qos: int = 0,
         wall_clock=None,
     ):
-        super().__init__(node_id, registry, mode, wall_clock)
+        super().__init__(node_id, registry, wall_clock)
         self.broker = broker
         self.qos = qos
         for pattern in patterns:

@@ -14,10 +14,10 @@ class EngineHost:
     """A node that runs one CEP engine; each subclass routes its emissions
     in ``_route``."""
 
-    def __init__(self, node_id: str, registry: SchemaRegistry, mode: str, wall_clock):
+    def __init__(self, node_id: str, registry: SchemaRegistry, wall_clock):
         self.node_id = node_id
         self.registry = registry
-        self.engine = Engine(node_id, registry, mode=mode, wall_clock=wall_clock)
+        self.engine = Engine(node_id, registry, wall_clock=wall_clock)
         self.dead_letters: list[tuple[str, str]] = []
         self.emission_log: list = []
         self.routed_count = 0

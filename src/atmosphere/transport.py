@@ -41,42 +41,67 @@ class Loop:
     """One process's scheduler: a ready deque of ``(endpoint, bytes)``
     deliveries, a timer heap and one selector, all run by :meth:`run_until`
     on the calling thread; ``after_turn`` runs after each turn. A timer is a
-    task: a generator that yields the ``time.monotonic()`` it next runs at.
+    task: a generator that yields the time it next runs at: a
+    ``time.monotonic()`` or, given a virtual ``clock`` (``now``, ``set(t)``),
+    a time of that clock, which a turn moves to the next timer, never waiting.
 
     The selector is a ``SelectSelector`` on purpose: epoll rounds its timeout
     up to a whole millisecond, a lag every timed send would carry. With no
     socket registered, its wait is a plain sleep.
     """
 
-    def __init__(self):
+    def __init__(self, clock=None):
+        self.clock = clock
         self.ready: deque = deque()
         self.selector = selectors.SelectSelector()
         self.after_turn: Callable[[], None] = lambda: None
-        self._timers: list = []  # heap of (due, seq, task)
-        self._seq = itertools.count()
+        self._timers: list = []  # heap of (due, rank, task)
+        self._ranks = itertools.count()
+        self.running = -1  # the rank of the task being run
 
     def start(self, task: Iterator[float]) -> None:
         """Run ``task`` to its next yield and keep it until the time it
-        yields; tasks due together run in the order they were kept."""
+        yields; tasks due together run in the order they were started."""
+        self._resume(next(self._ranks), task)
+
+    def _resume(self, rank: int, task: Iterator[float]) -> None:
+        self.running = rank
         due = next(task, None)
         if due is not None:
-            heapq.heappush(self._timers, (due, next(self._seq), task))
+            heapq.heappush(self._timers, (due, rank, task))
+
+    def wake(self, rank: int, due: float) -> None:
+        """Resume the task of ``rank`` (see ``running``) at ``due``
+        instead, if it is waiting for later."""
+        for index, (at, waiting, task) in enumerate(self._timers):
+            if waiting == rank and due < at:
+                self._timers[index] = (due, rank, task)
+                heapq.heapify(self._timers)
 
     def run_until(self, done: Callable[[], bool], timeout_s: float | None = None) -> bool:
-        """Run turns until ``done()`` holds; false if ``timeout_s`` passes first.
+        """Run turns until ``done()`` holds; false if ``timeout_s`` passes
+        first or, on a virtual clock (no timeout there), once nothing is left.
 
         A turn waits for socket events until the next timer or the deadline
-        is due, or only polls while deliveries are queued, then runs the
-        deliveries queued by then and the timers due by then; a timer that
-        yields a time already past runs on the next turn.
+        is due, or only polls while deliveries are queued or the clock is
+        virtual, which moves to the next timer unless deliveries are queued.
+        Then it runs the deliveries queued by then and the earliest timer
+        due by then (ties in start order): a timer that yields a time
+        already past runs on a later turn.
         """
-        deadline = math.inf if timeout_s is None else time.monotonic() + timeout_s
+        clock = self.clock  # None on the wall clock
+        virtual = clock is not None
+        deadline = math.inf if timeout_s is None or virtual else time.monotonic() + timeout_s
         ready, timers = self.ready, self._timers
         while not done():
+            if virtual and not ready:
+                if not timers:
+                    return False
+                clock.set(timers[0][0])
             now = time.monotonic()
             if now >= deadline:
                 return False
-            wait = 0.0 if ready else min(timers[0][0] if timers else math.inf, deadline) - now
+            wait = 0.0 if ready or virtual else min(timers[0][0] if timers else math.inf, deadline) - now
             if wait > 0.0 or self.selector.get_map():
                 for key, events in self.selector.select(None if wait == math.inf else max(wait, 0.0)):
                     if events & selectors.EVENT_WRITE:
@@ -89,12 +114,9 @@ class Loop:
                     endpoint._deliver(data)
                 except Exception:
                     logger.exception("receiver for %s raised", endpoint.name)
-            now = time.monotonic()
-            due = []
-            while timers and timers[0][0] <= now:
-                due.append(heapq.heappop(timers)[2])
-            for task in due:
-                self.start(task)
+            if timers and timers[0][0] <= (clock.now if virtual else time.monotonic()):
+                _, rank, task = heapq.heappop(timers)
+                self._resume(rank, task)
             self.after_turn()
         return True
 

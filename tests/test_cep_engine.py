@@ -297,7 +297,7 @@ class TestProcessingTimeMode:
     def test_arrivals_stamped_with_wall_clock_and_batches_fire_on_advance(self):
         wall = [5_000]
         engine = Engine(
-            "f1", base_registry(), mode="processing_time", wall_clock=lambda: wall[0]
+            "f1", base_registry(), wall_clock=lambda: wall[0]
         )
         engine.deploy(parse_pattern(LISTING_TEXTS["ExternalLightByFloor"]))
         # the event's own timestamp is ignored for windowing in this mode
@@ -313,7 +313,7 @@ class TestProcessingTimeMode:
     def test_wall_clock_never_regresses_engine_time(self):
         wall = [10_000]
         engine = Engine(
-            "f1", base_registry(), mode="processing_time", wall_clock=lambda: wall[0]
+            "f1", base_registry(), wall_clock=lambda: wall[0]
         )
         engine.deploy(parse_pattern(LISTING_TEXTS["ExternalLightByFloor"]))
         engine.ingest(ext_light(0))

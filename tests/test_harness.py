@@ -18,8 +18,10 @@ from atmosphere.harness import (
 from atmosphere.harness import runner as runner_mod
 from atmosphere.harness.generators import emission_times_ms
 from atmosphere.mqtt import MqttClient
+from atmosphere.nodes import EdgeNode
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +117,38 @@ class TestLoadScenario:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match="cover"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("field_type, generator", [
+        ("integer", {"kind": "constant", "value": "x"}),
+        ("integer", {"kind": "choice", "values": [1, "two"]}),
+        ("string", {"kind": "uniform_int", "low": 1, "high": 3}),
+        ("integer", {"kind": "bernoulli", "p": 0.5}),
+        ("boolean", {"kind": "sequence"}),
+    ])
+    def test_generator_that_cannot_feed_its_field_rejected(self, tmp_path, field_type, generator):
+        doc = {
+            "name": "gen",
+            "schemas": {"S": {"a": field_type}},
+            "topology": {
+                "fogs": [{"id": "f1", "patterns": []}],
+                "edges": [{"id": "e1", "fog": "f1", "agents": []}],
+            },
+            "simulators": [{"edge": "e1", "stream": "S", "rate": 1, "fields": {"a": generator}}],
+        }
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="^/simulators/0/fields/a: "):
+            load_scenario(path)
+
+    def test_every_scenario_and_perfbench_workload_loads(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        import workloads
+
+        for path in sorted(SCENARIOS.glob("*.json")):
+            load_scenario(path)
+        for name in workloads.NAMES:
+            monkeypatch.setattr(workloads, "RUNS_DIR", tmp_path)
+            load_scenario(workloads.prepare(name, 1)["scenario"])
 
 
 class TestBucketize:
@@ -224,6 +258,15 @@ class TestBenchRuns:
         monkeypatch.setattr(runner_mod, "SATURATION_HOLD_S", 0.0)
         report = self.run_bench(bench, qos=0, duration_s=1)
         assert report.saturated is True
+
+    def test_saturation_by_send_lag(self, bench, monkeypatch):
+        """Every resume counts as late: the second input ends the run; the
+        ready deque never nears its high water at 40/s."""
+        monkeypatch.setattr(runner_mod, "SATURATION_LAG_S", -1.0)
+        monkeypatch.setattr(runner_mod, "SATURATION_HOLD_S", 0.0)
+        report = self.run_bench(bench, qos=0, duration_s=1)
+        assert report.saturated is True
+        assert report.round_trips["initiated"] < 40
 
 
 class TestOneLoop:
@@ -341,9 +384,8 @@ class TestAgentTimers:
 
     @pytest.mark.parametrize("clock", ["event_time", "processing_time"])
     def test_run_ends_when_a_timer_rule_is_replaced(self, tmp_path, monkeypatch, clock):
-        """A rule update turning timer rule t1 into a sensor rule leaves its
-        schedule in place: its later fires match no rule and the run ends on
-        time."""
+        """A rule update turning timer rule t1 into a sensor rule drops its
+        schedule, and the run ends on time."""
         import time
 
         log = {"kind": "log", "template": "t1 $value"}
@@ -358,6 +400,51 @@ class TestAgentTimers:
         run_scenario(config)
         assert time.monotonic() - started < 4.0
         assert lines == ["t1 1"]
+
+    @staticmethod
+    def timer_rule(rule_id, period_ms):
+        return {"id": rule_id, "trigger": {"kind": "timer", "period_ms": period_ms},
+                "actions": [{"kind": "log", "template": f"{rule_id} $value"}]}
+
+    @staticmethod
+    def add_rule_at(at_ms, rule):
+        return {"at_ms": at_ms, "kind": "user_publish",
+                "payload": {"_stream": "RuleUpdate", "agent": "a1", "rule": rule}}
+
+    @pytest.mark.parametrize("clock", ["event_time", "processing_time"])
+    def test_a_timer_rule_added_by_a_rule_update_fires(self, tmp_path, monkeypatch, clock):
+        """t2, added at 1500 ms, is first due a period later, at 2500 ms."""
+        agent = {"id": "a1", "rules": [self.timer_rule("t1", 1000)]}
+        config = self.one_edge(tmp_path, [agent], clock=clock, duration_s=5,
+                               timeline=[self.add_rule_at(1500, self.timer_rule("t2", 1000))])
+        lines = self.log_lines(monkeypatch)
+        run_scenario(config)
+        assert lines == ["t1 1", "t1 2", "t2 1", "t1 3", "t2 2", "t1 4", "t2 3", "t1 5"]
+
+    @pytest.mark.parametrize("clock", ["event_time", "processing_time"])
+    @pytest.mark.parametrize("t1_period_ms", [None, 4000], ids=["no-timer", "later-timer"])
+    def test_a_rule_update_wakes_the_timer_task_sooner(self, tmp_path, monkeypatch, clock, t1_period_ms):
+        """The edge's timer task waits for the run's end, or for t1 at 4000
+        ms, when t2 is added; it fires t2 at 2500 ms all the same, by the
+        run's clock as well as by the fire's stamp."""
+        rules = [] if t1_period_ms is None else [self.timer_rule("t1", t1_period_ms)]
+        agent = {"id": "a1", "sensors": ["s"], "rules": rules}
+        config = self.one_edge(tmp_path, [agent], clock=clock, duration_s=3,
+                               timeline=[self.add_rule_at(1500, self.timer_rule("t2", 1000))])
+        fires = []
+        fire = EdgeNode.fire_timer
+
+        def recorded(edge, agent_id, rule_id, at):
+            fires.append((rule_id, at, edge._clock()))
+            fire(edge, agent_id, rule_id, at)
+
+        monkeypatch.setattr(EdgeNode, "fire_timer", recorded)
+        lines = self.log_lines(monkeypatch)
+        run_scenario(config)
+        assert lines == ["t2 1"]
+        [(rule_id, at, fired_at)] = fires
+        assert rule_id == "t2" and 2500 <= at <= 2502
+        assert at <= fired_at < at + 100
 
     def test_timers_due_together_are_pumped_one_by_one(self, tmp_path, monkeypatch):
         """a's timer messages b; b's own timer, due in the same ms, fires after
@@ -433,7 +520,8 @@ class TestTierSeparation:
                 clock.set(step_at)
                 deployment.edges[edge_id].inject_sensor(f"{edge_id}.vent", "o2", 85, at=step_at)
                 deployment.pump_edges()
-            deployment.advance_engines(700_000)
+            for node in nodes:  # past the fog's 10-minute boundary
+                node.advance(700_000)
             for node in nodes:
                 assert node.routed_count == len(node.emission_log)
         finally:

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from atmosphere.cep import EVENT_TIME
 from atmosphere.events import Event, EventSchema, SchemaRegistry, decode_event, encode_event
 from atmosphere.mqtt import Broker, MqttClient
 from atmosphere.nodes import (
@@ -80,7 +79,6 @@ class TestFogRouting:
         fog = FogNode(
             "f1", broker, registry,
             [parse_pattern(LIGHT_BATCH), parse_pattern(SURVEILLANCE)],
-            mode=EVENT_TIME,
         )
         _, user_inbox = subscriber(broker, "u", topics.user_topic("f1"))
         _, fog_out_inbox = subscriber(broker, "peer", topics.fog_output("f1", "fog"))
@@ -99,7 +97,7 @@ class TestFogRouting:
     def test_cloud_target_routes_to_cloud_output(self):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}))
         broker = Broker()
-        fog = FogNode("f1", broker, registry, [parse_pattern(TO_CLOUD_PATTERN)], mode=EVENT_TIME)
+        fog = FogNode("f1", broker, registry, [parse_pattern(TO_CLOUD_PATTERN)])
         _, cloud_inbox = subscriber(broker, "c1", topics.fog_output("f1", "cloud"))
         publisher = attach_client(broker, "edge")
         event = Event("Ping", {"n": 1}, 5, "e1")
@@ -110,7 +108,7 @@ class TestFogRouting:
     def test_malformed_payload_dead_letters_without_crash(self):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}))
         broker = Broker()
-        fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)], mode=EVENT_TIME)
+        fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)])
         publisher = attach_client(broker, "edge")
         publisher.publish(topics.fog_input("f1"), b"{broken")
         assert len(fog.dead_letters) == 1
@@ -127,12 +125,12 @@ class TestFogRouting:
             "insert into Out select a1.* from pattern [(every a1 = Ping)]"
         )
         with pytest.raises(ConfigError, match="target"):
-            FogNode("f1", Broker(), registry, [parse_pattern(no_target)], mode=EVENT_TIME)
+            FogNode("f1", Broker(), registry, [parse_pattern(no_target)])
 
     def test_peer_fog_input_processed_like_edge_input(self):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}))
         broker = Broker()
-        fog = FogNode("f2", broker, registry, [parse_pattern(ECHO_PATTERN)], mode=EVENT_TIME)
+        fog = FogNode("f2", broker, registry, [parse_pattern(ECHO_PATTERN)])
         _, edge_inbox = subscriber(broker, "edge", topics.fog_output("f2", "edge"))
         peer = attach_client(broker, "f1-client")
         event = Event("Ping", {"n": 7}, 10, "f1")
@@ -145,7 +143,7 @@ class TestFogRouting:
             EventSchema("ExternalLight", {"isOn": "boolean", "floor": "integer"})
         )
         broker = Broker()
-        fog = FogNode("f1", broker, registry, [parse_pattern(LIGHT_BATCH)], mode=EVENT_TIME)
+        fog = FogNode("f1", broker, registry, [parse_pattern(LIGHT_BATCH)])
         publisher = attach_client(broker, "edge")
         event = Event("ExternalLight", {"isOn": True, "floor": 1}, 700_000, "e1")
         publisher.publish(topics.fog_input("f1"), encode_event(event, registry))
@@ -159,7 +157,7 @@ class TestFogRouting:
         broker = Broker()
         fog = FogNode(
             "f1", broker, registry, [parse_pattern(ECHO_PATTERN)],
-            mode=EVENT_TIME, extra_inputs=(topics.cloud_fog_output("c1"),),
+            extra_inputs=(topics.cloud_fog_output("c1"),),
         )
         cloud = attach_client(broker, "c1")
         event = Event("Ping", {"n": 2}, 3, "c1")
@@ -171,7 +169,7 @@ class TestUserBridge:
     def make_fog(self):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}), EventSchema("Notice", {"text": "string"}))
         broker = Broker()
-        fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)], mode=EVENT_TIME)
+        fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)])
         return registry, broker, fog
 
     def test_user_topic_never_reaches_the_engine(self):
@@ -262,7 +260,6 @@ class TestCloudNode:
                 SinkSpec(id="to-fog", kind="topic", targets=("fog",), topic=topics.cloud_fog_output("c1")),
                 SinkSpec(id="notify", kind="notification", targets=("cloud",)),
             ],
-            mode=EVENT_TIME,
             clock=lambda: clock_value[0],
         )
         cloud.attach(attach_client(broker, "c1"))
@@ -323,7 +320,7 @@ class TestEdgeNode:
             EventSchema("ExternalLight", {"isOn": "boolean", "floor": "integer"}),
         )
         broker = Broker()
-        fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)], mode=EVENT_TIME)
+        fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)])
         gateway = GatewayServer()
         if specs is None:
             specs = [

@@ -3,6 +3,9 @@ from __future__ import annotations
 import logging
 import time
 
+import pytest
+
+from atmosphere.harness.runner import LogicalClock
 from atmosphere.mqtt import Broker, MqttClient
 from atmosphere.transport import Loop, TcpServer, connect_tcp, make_queue_pair
 
@@ -81,6 +84,76 @@ class TestLoop:
         assert got == [b"before", b"after"]
         assert "receiver for far raised" in caplog.text
         loop.close()
+
+
+def fires_at(clock, fired: list, *dues):
+    """A task due at each of ``dues`` that records the clock's time when run."""
+    for due in dues:
+        yield due
+        fired.append(clock())
+
+
+class TestVirtualLoop:
+    def test_a_task_due_an_hour_on_runs_without_waiting(self):
+        clock = LogicalClock()
+        loop = Loop(clock)
+        fired = []
+        loop.start(fires_at(clock, fired, 3_600_000))
+        start = time.monotonic()
+        assert loop.run_until(lambda: fired, 0.001)  # no wall-time deadline
+        assert fired == [3_600_000]
+        assert time.monotonic() - start < 0.5
+
+    def test_run_until_is_false_once_nothing_is_left_to_run(self):
+        clock = LogicalClock()
+        loop = Loop(clock)
+        fired = []
+        loop.start(fires_at(clock, fired, 5, 10))
+        assert loop.run_until(lambda: False) is False
+        assert fired == [5, 10]
+
+    def test_ties_run_in_first_start_order_after_re_pushes(self):
+        """b re-queues for 10 before a does; a started first, so a runs first."""
+        loop = Loop(LogicalClock())
+        order = []
+
+        def task(label, dues):
+            for due in dues:
+                yield due
+                order.append((label, due))
+
+        loop.start(task("a", [5, 10]))
+        loop.start(task("b", [1, 10]))
+        assert loop.run_until(lambda: False) is False
+        assert order == [("b", 1), ("a", 5), ("a", 10), ("b", 10)]
+
+    @pytest.mark.parametrize("virtual", [True, False])
+    def test_one_due_timer_runs_per_turn(self, virtual):
+        clock = LogicalClock()
+        loop = Loop(clock if virtual else None)
+        fired, turns = [], []
+
+        def task(label):
+            yield 7 if virtual else 0.0  # all due at once
+            fired.append(label)
+
+        for label in "abc":
+            loop.start(task(label))
+        loop.after_turn = lambda: turns.append("".join(fired))
+        assert loop.run_until(lambda: len(fired) == 3, 1.0)
+        assert turns == ["a", "ab", "abc"]
+        loop.close()
+
+    def test_wake_resumes_a_waiting_task_sooner_never_later(self):
+        clock = LogicalClock()
+        loop = Loop(clock)
+        fired = []
+        loop.start(fires_at(clock, fired, 100))
+        rank = loop.running
+        loop.wake(rank, 200)
+        loop.wake(rank, 50)
+        assert loop.run_until(lambda: False) is False
+        assert fired == [50]
 
 
 class TestTcpOnOneLoop:
