@@ -11,6 +11,7 @@ reported as effects. A guard or interpolation failure skips that rule with a
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 from ..errors import GuardError
 from .exprs import eval_expr, eval_guard
@@ -39,6 +40,7 @@ from .model import (
     TimerTrigger,
     _INTERP_RE,
     parse_rule,
+    validate_agent_spec,
 )
 
 logger = logging.getLogger(__name__)
@@ -75,13 +77,19 @@ class Agent:
         return effects
 
     def apply_rule_update(self, rule_doc: dict) -> Rule:
-        """Replace (by id) or append a rule; applied between steps."""
-        rule = parse_rule(rule_doc, path=f"agent {self.id} rule update")
-        for i, existing in enumerate(self.rules):
-            if existing.id == rule.id:
-                self.rules[i] = rule
-                return rule
-        self.rules.append(rule)
+        """Replace (by id) or append a rule; applied between steps. The rule
+        is checked against the spec as the loader checks the rules it loads;
+        one that fails raises ConfigError and leaves the rules unchanged."""
+        path = f"agent {self.id} rule update"
+        rule = parse_rule(rule_doc, path)
+        ids = [existing.id for existing in self.rules]
+        rules = list(self.rules)
+        if rule.id in ids:
+            rules[ids.index(rule.id)] = rule
+        else:
+            rules.append(rule)
+        validate_agent_spec(replace(self.spec, rules=tuple(rules)), path)
+        self.rules = rules
         return rule
 
     def timer_rules(self) -> list[Rule]:

@@ -9,13 +9,17 @@ whole scenario stays declarative. Field maps in actions may interpolate
 from __future__ import annotations
 
 import json
+import logging
 import re
 import struct
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError, GatewayError, PayloadError
+from ..errors import ConfigError, MqttProtocolError, PayloadError
 from ..events import IDENT_RE
+from ..mqtt.packets import validate_topic_name
 from .exprs import guard_references, parse_guard
+
+logger = logging.getLogger(__name__)
 
 BROADCAST = "broadcast"
 GATEWAY_ADDRESS = "$gateway"
@@ -24,19 +28,13 @@ PERFORMATIVES = ("INFORM", "REQUEST")
 
 @dataclass(frozen=True)
 class AclMessage:
+    """One ACL message; :func:`decode_acl_body` checks those off the wire."""
+
     performative: str
     sender: str
     receivers: tuple  # of agent/service ids, or the BROADCAST marker string
     content: dict
     sent_at: int
-
-    def __post_init__(self):
-        if self.performative not in PERFORMATIVES:
-            raise GatewayError(f"unknown performative {self.performative!r}")
-        if self.receivers != BROADCAST and (
-            not isinstance(self.receivers, tuple) or not self.receivers
-        ):
-            raise GatewayError("receivers must be non-empty unless broadcast")
 
     @property
     def stream(self) -> str | None:
@@ -61,6 +59,9 @@ def encode_acl(message: AclMessage) -> bytes:
 
 
 def decode_acl_body(body: bytes) -> AclMessage:
+    """Decode one frame body, or raise PayloadError if it is not a valid
+    message: a known performative, a string sender, a non-empty list of
+    string receivers or the broadcast marker, and an object content."""
     try:
         doc = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -68,17 +69,26 @@ def decode_acl_body(body: bytes) -> AclMessage:
     if not isinstance(doc, dict):
         raise PayloadError("ACL frame must be a JSON object")
     try:
+        performative = doc["performative"]
+        sender = doc["sender"]
         receivers = doc["receivers"]
-        receivers = BROADCAST if receivers == BROADCAST else tuple(receivers)
-        return AclMessage(
-            performative=doc["performative"],
-            sender=doc["sender"],
-            receivers=receivers,
-            content=doc["content"],
-            sent_at=int(doc["sent_at"]),
-        )
+        content = doc["content"]
+        sent_at = int(doc["sent_at"])
     except (KeyError, TypeError, ValueError) as exc:
         raise PayloadError(f"bad ACL frame: {exc}") from None
+    if performative not in PERFORMATIVES:
+        raise PayloadError(f"unknown performative {performative!r}")
+    if not isinstance(sender, str):
+        raise PayloadError("ACL sender must be a string")
+    if receivers != BROADCAST:
+        if not isinstance(receivers, list) or not receivers or not all(
+            isinstance(receiver, str) for receiver in receivers
+        ):
+            raise PayloadError("ACL receivers must be a non-empty list of ids unless broadcast")
+        receivers = tuple(receivers)
+    if not isinstance(content, dict):
+        raise PayloadError("ACL content must be an object")
+    return AclMessage(performative, sender, receivers, content, sent_at)
 
 
 class AclFrameDecoder:
@@ -88,6 +98,8 @@ class AclFrameDecoder:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> list[AclMessage]:
+        """The messages of the frames ``data`` completes; a bad frame is
+        logged and dropped, and the frames around it still decode."""
         self._buffer.extend(data)
         out = []
         while len(self._buffer) >= 4:
@@ -96,7 +108,10 @@ class AclFrameDecoder:
                 break
             body = bytes(self._buffer[4 : 4 + length])
             del self._buffer[: 4 + length]
-            out.append(decode_acl_body(body))
+            try:
+                out.append(decode_acl_body(body))
+            except PayloadError as exc:
+                logger.warning("dropping ACL frame: %s", exc)
         return out
 
 
@@ -284,8 +299,10 @@ def parse_action(doc: dict, path: str) -> Action:
         )
     if kind == "send":
         receivers = doc.get("receivers")
-        if not isinstance(receivers, list) or not receivers:
-            raise ConfigError("send action needs a non-empty receivers list", path)
+        if not isinstance(receivers, list) or not receivers or not all(
+            isinstance(receiver, str) and receiver for receiver in receivers
+        ):
+            raise ConfigError("send action needs a non-empty list of receiver ids", path)
         return SendAction(
             receivers=tuple(receivers),
             stream=_req_str(doc, "stream", path),
@@ -297,7 +314,7 @@ def parse_action(doc: dict, path: str) -> Action:
         return ActuateAction(actuator=_req_str(doc, "actuator", path), value=doc["value"])
     if kind == "publish_fog":
         return PublishFogAction(
-            topic=_req_str(doc, "topic", path),
+            topic=parse_topic(validate_topic_name, doc.get("topic"), f"{path}/topic"),
             stream=_req_str(doc, "stream", path),
             fields=dict(doc.get("fields", {})),
         )
@@ -408,51 +425,21 @@ def _template_fields(action: Action):
     return []
 
 
+def parse_topic(check, topic, path: str) -> str:
+    """``topic`` if it is a string that passes ``check`` (a topic name or
+    topic filter check), else ConfigError at ``path``."""
+    if not isinstance(topic, str):
+        raise ConfigError("topic must be a string", path)
+    try:
+        check(topic)
+    except MqttProtocolError as exc:
+        raise ConfigError(str(exc), path) from None
+    return topic
+
+
 def _req_str(doc: dict, key: str, path: str) -> str:
     value = doc.get(key)
     if not isinstance(value, str) or not value:
         raise ConfigError(f"missing or invalid {key!r}", path)
     return value
 
-
-def rule_to_config(rule: Rule) -> dict:
-    """Inverse of :func:`parse_rule`, used to ship rules inside messages."""
-    trigger: dict
-    if isinstance(rule.trigger, SensorTrigger):
-        trigger = {"kind": "sensor", "sensor": rule.trigger.sensor}
-    elif isinstance(rule.trigger, MessageTrigger):
-        trigger = {"kind": "message", "stream": rule.trigger.stream}
-    else:
-        trigger = {"kind": "timer", "period_ms": rule.trigger.period_ms}
-    actions = []
-    for action in rule.actions:
-        if isinstance(action, BroadcastAction):
-            actions.append({"kind": "broadcast", "stream": action.stream, "fields": action.fields})
-        elif isinstance(action, SendAction):
-            actions.append(
-                {
-                    "kind": "send",
-                    "receivers": list(action.receivers),
-                    "stream": action.stream,
-                    "fields": action.fields,
-                }
-            )
-        elif isinstance(action, ActuateAction):
-            actions.append({"kind": "actuate", "actuator": action.actuator, "value": action.value})
-        elif isinstance(action, PublishFogAction):
-            actions.append(
-                {
-                    "kind": "publish_fog",
-                    "topic": action.topic,
-                    "stream": action.stream,
-                    "fields": action.fields,
-                }
-            )
-        elif isinstance(action, SetStateAction):
-            actions.append({"kind": "set_state", "var": action.var, "expr": action.expr_text})
-        elif isinstance(action, LogAction):
-            actions.append({"kind": "log", "template": action.template})
-    doc = {"id": rule.id, "trigger": trigger, "actions": actions}
-    if rule.guard_text is not None:
-        doc["guard"] = rule.guard_text
-    return doc

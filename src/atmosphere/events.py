@@ -42,14 +42,6 @@ class Event:
     timestamp: int
     source: str
 
-    def __post_init__(self):
-        if not IDENT_RE.match(self.stream):
-            raise SchemaError(f"invalid stream name: {self.stream!r}")
-        if not isinstance(self.timestamp, int) or isinstance(self.timestamp, bool):
-            raise SchemaError("timestamp must be an integer")
-        if self.timestamp < 0:
-            raise SchemaError("timestamp must be >= 0")
-
 
 @dataclass(frozen=True)
 class EventSchema:

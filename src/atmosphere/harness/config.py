@@ -2,9 +2,11 @@
 agents, pattern files, simulators, a scripted timeline, and run defaults.
 
 ``load_scenario`` fully validates the document: cross-references resolve,
-pattern files parse and type-check, derived stream schemas are inferred
+node ids are single topic levels, configured topics and filters are valid
+MQTT, pattern files parse and type-check, derived stream schemas are inferred
 globally (so a fog may consume a cloud-derived stream), and agent rules are
-checked against their specs. Errors carry JSON-pointer-style paths.
+checked against their specs. The nodes built from the config do not check it
+again. Errors carry JSON-pointer-style paths.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..agents import parse_agent_spec
+from ..agents.model import parse_topic
 from ..cep import check_predicate_types, register_output_schema
 from ..errors import AtmosphereError, ConfigError, SchemaError
 from ..events import EventSchema, FIELD_TYPES, SchemaRegistry
+from ..mqtt.packets import validate_topic_filter, validate_topic_name
 from ..nodes import SinkSpec, SourceSpec, TransformerSpec
 from ..patterns import PatternDef, parse_patterns
 
@@ -217,6 +221,9 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     node_ids: set[str] = set()
 
     def claim(node_id: str, path: str) -> str:
+        if not node_id or set(node_id) & set("/+#\0"):
+            raise ConfigError(f"node id {node_id!r} must be one topic level, "
+                              "without '/', '+' or '#'", f"{path}/id")
         if node_id in node_ids:
             raise ConfigError(f"duplicate node id {node_id!r}", path)
         node_ids.add(node_id)
@@ -240,7 +247,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
                 id=fog_id,
                 patterns=tuple(patterns),
                 pattern_files=files,
-                extra_inputs=tuple(fog_doc.get("extra_inputs", [])),
+                extra_inputs=tuple(
+                    parse_topic(validate_topic_filter, topic, f"{fog_path}/extra_inputs/{j}")
+                    for j, topic in enumerate(fog_doc.get("extra_inputs", []))
+                ),
             )
         )
 
@@ -277,15 +287,21 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             transformer = _req(sdoc, "transformer", spath, str)
             if transformer not in transformer_ids:
                 raise ConfigError(f"unknown transformer {transformer!r}", spath)
-            sources.append(SourceSpec(topic=_req(sdoc, "topic", spath, str), transformer=transformer))
+            topic = parse_topic(validate_topic_name, _req(sdoc, "topic", spath), f"{spath}/topic")
+            sources.append(SourceSpec(topic=topic, transformer=transformer))
         sinks = []
+        covered: set[str] = set()
         for j, kdoc in enumerate(cloud_doc.get("sinks", [])):
             kpath = f"{cloud_path}/sinks/{j}"
             kind = _req(kdoc, "kind", kpath, str)
             if kind not in ("topic", "notification"):
                 raise ConfigError(f"unknown sink kind {kind!r}", kpath)
-            if kind == "topic" and not kdoc.get("topic"):
-                raise ConfigError("topic sink needs a topic", kpath)
+            if kind == "topic":
+                parse_topic(validate_topic_name, _req(kdoc, "topic", kpath), f"{kpath}/topic")
+            for target in kdoc.get("targets", []):
+                if target in covered:
+                    raise ConfigError(f"two sinks serve target {target!r}", f"{kpath}/targets")
+                covered.add(target)
             sinks.append(
                 SinkSpec(
                     id=_req(kdoc, "id", kpath, str),
@@ -294,7 +310,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
                     topic=kdoc.get("topic"),
                 )
             )
-        covered = {t for s in sinks for t in s.targets}
         for pattern in patterns:
             if pattern.target is None or pattern.target not in covered:
                 raise ConfigError(
@@ -369,6 +384,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             for fname, g in sim_doc.get("fields", {}).items()
         }
         schema = next(s for s in schemas if s.stream == stream)
+        if schema.fields.get("rid", "integer") != "integer":
+            # the probe numbers round trips with integers and matches them exactly
+            raise ConfigError("round-trip id 'rid' must be declared integer",
+                              f"{sim_path}/fields/rid")
         if set(generators) != set(schema.fields):
             raise ConfigError(
                 f"generators must cover the {stream!r} schema exactly", sim_path

@@ -4,6 +4,10 @@ Covers CONNECT/CONNACK, PUBLISH (QoS 0/1), PUBACK, SUBSCRIBE/SUBACK,
 PINGREQ/PINGRESP and DISCONNECT. QoS 2, retained messages, wills,
 UNSUBSCRIBE and persistent sessions are outside the subset and decode to an
 :class:`UnsupportedFeatureError`.
+
+Only :func:`decode_packet` checks a packet, since only it takes one from a
+peer: topic names, topic filters, QoS bits and packet ids. The dataclasses
+built in process are not re-checked.
 """
 
 from __future__ import annotations
@@ -48,16 +52,6 @@ class Publish:
     packet_id: int | None = None
     dup: bool = False
 
-    def __post_init__(self):
-        if self.qos not in (0, 1):
-            raise MqttProtocolError(f"qos must be 0 or 1, got {self.qos}")
-        if self.qos == 1:
-            if self.packet_id is None or not 1 <= self.packet_id <= MAX_PACKET_ID:
-                raise MqttProtocolError("qos 1 publish requires packet_id in 1..65535")
-        elif self.packet_id is not None:
-            raise MqttProtocolError("qos 0 publish must not carry a packet_id")
-        validate_topic_name(self.topic)
-
 
 @dataclass(frozen=True)
 class PubAck:
@@ -68,14 +62,6 @@ class PubAck:
 class Subscribe:
     packet_id: int
     filters: tuple = field(default_factory=tuple)  # of (topic_filter, qos)
-
-    def __post_init__(self):
-        if not self.filters:
-            raise MqttProtocolError("subscribe requires at least one topic filter")
-        for topic_filter, qos in self.filters:
-            validate_topic_filter(topic_filter)
-            if qos not in (0, 1):
-                raise MqttProtocolError("requested subscription qos must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -318,6 +304,7 @@ def decode_packet(data: bytes, offset: int = 0) -> tuple[Packet, int] | None:
         if flags & 0x01:
             raise UnsupportedFeatureError("retained messages")
         topic, pos = _read_utf8(body, 0)
+        validate_topic_name(topic)
         packet_id = None
         if qos == 1:
             packet_id, pos = _read_u16(body, pos)
@@ -336,6 +323,7 @@ def decode_packet(data: bytes, offset: int = 0) -> tuple[Packet, int] | None:
         filters = []
         while pos < len(body):
             topic_filter, pos = _read_utf8(body, pos)
+            validate_topic_filter(topic_filter)
             if pos >= len(body):
                 raise MqttProtocolError("missing qos byte in SUBSCRIBE")
             qos = body[pos]
@@ -343,6 +331,8 @@ def decode_packet(data: bytes, offset: int = 0) -> tuple[Packet, int] | None:
             if qos > 1:
                 raise UnsupportedFeatureError("QoS 2 subscription")
             filters.append((topic_filter, qos))
+        if not filters:
+            raise MqttProtocolError("subscribe requires at least one topic filter")
         return Subscribe(packet_id=packet_id, filters=tuple(filters)), total
     if ptype == SUBACK:
         if flags != 0:

@@ -3,7 +3,9 @@ and per-audience sinks (a fog-bound topic, or a notification record stub).
 
 External sources publish raw JSON of arbitrary shape; a transformer maps
 source paths onto one canonical stream. Fog-origin feeds use passthrough
-transformers since they already carry canonical event payloads.
+transformers since they already carry canonical event payloads. Sources,
+transformers, sinks and pattern targets are taken as ``load_scenario``
+checked them; only the source payloads are checked here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 
-from ..errors import AtmosphereError, ConfigError
+from ..errors import AtmosphereError
 from ..events import Event, SchemaRegistry, decode_event, encode_event
 from ..mqtt import MqttClient
 from ..patterns import PatternDef
@@ -71,23 +73,8 @@ class CloudNode(EngineHost):
         self._clock = clock or (lambda: 0)
         self.transformers = {t.id: t for t in transformers}
         self.sources = {s.topic: s for s in sources}
-        self._sink_by_target: dict[str, SinkSpec] = {}
-        for sink in sinks:
-            for target in sink.targets:
-                if target in self._sink_by_target:
-                    raise ConfigError(f"cloud {node_id}: two sinks serve target {target!r}")
-                self._sink_by_target[target] = sink
-        for source in sources:
-            if source.transformer not in self.transformers:
-                raise ConfigError(
-                    f"cloud {node_id}: source {source.topic!r} names unknown "
-                    f"transformer {source.transformer!r}"
-                )
+        self._sink_by_target = {target: sink for sink in sinks for target in sink.targets}
         for pattern in patterns:
-            if pattern.target is None or pattern.target not in self._sink_by_target:
-                raise ConfigError(
-                    f"cloud pattern {pattern.name!r} target does not map to a sink"
-                )
             self.engine.deploy(pattern)
         self.client: MqttClient | None = None
         self.notifications: list[dict] = []

@@ -5,11 +5,12 @@ topic (and any configured peer/cloud feeds); everything arriving there is
 processed identically regardless of origin. Every emission is published on
 exactly one topic chosen by its pattern's ``target`` tag. The user topic is
 never subscribed here, which is what keeps user traffic out of the engine.
+The patterns and extra inputs are taken as ``load_scenario`` checked them.
 """
 
 from __future__ import annotations
 
-from ..errors import AtmosphereError, ConfigError
+from ..errors import AtmosphereError
 from ..events import SchemaRegistry, decode_event, encode_event
 from ..mqtt import Broker
 from ..patterns import PatternDef
@@ -32,10 +33,6 @@ class FogNode(EngineHost):
         self.broker = broker
         self.qos = qos
         for pattern in patterns:
-            if pattern.target is None:
-                raise ConfigError(
-                    f"fog pattern {pattern.name!r} needs a target tag for routing"
-                )
             self.engine.deploy(pattern)
         broker.subscribe_internal(topics.fog_input(node_id), self.on_payload)
         for topic in extra_inputs:

@@ -24,7 +24,6 @@ class UserNode:
         self.qos = qos
         self.client: MqttClient | None = None
         self.alerts: list = []  # decoded Events published for the user
-        self.on_alert = None
 
     def attach(self, client: MqttClient) -> None:
         self.client = client
@@ -39,8 +38,6 @@ class UserNode:
         if event.source == self.node_id:
             return
         self.alerts.append(event)
-        if self.on_alert is not None:
-            self.on_alert(event)
 
     def publish_rule_update(self, agent_id: str, rule_doc: dict, at: int = 0) -> None:
         payload = json.dumps(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from atmosphere.agents import (
@@ -19,10 +21,11 @@ from atmosphere.agents import (
     StateChange,
     TimerFire,
     UNDELIVERABLE_STREAM,
+    decode_acl_body,
     encode_acl,
     parse_agent_spec,
 )
-from atmosphere.errors import ConfigError, GatewayError, GuardError
+from atmosphere.errors import ConfigError, GatewayError, GuardError, PayloadError
 from atmosphere.agents.exprs import eval_expr, eval_guard, parse_guard
 from atmosphere.transport import make_sync_pair
 
@@ -232,6 +235,24 @@ class TestRuleUpdate:
         msg = AclMessage("INFORM", "x", ("e4.light",), {"stream": "Ping", "fields": {}}, 1)
         assert agent.step(msg) == [LogLine("e4.light", "pong")]
 
+    @pytest.mark.parametrize("action, match", [
+        ({"kind": "actuate", "actuator": "door", "value": 1}, "undeclared actuator 'door'"),
+        ({"kind": "log", "template": "$state.ghost"}, "unknown 'state.ghost'"),
+        ({"kind": "publish_fog", "topic": "f1/+/in", "stream": "S", "fields": {}}, "wildcards"),
+    ])
+    def test_update_failing_the_spec_check_leaves_the_rules(self, action, match):
+        agent = Agent(light_spec())
+        rules = list(agent.rules)
+        with pytest.raises(ConfigError, match=match):
+            agent.apply_rule_update({
+                "id": "light-on",
+                "trigger": {"kind": "message", "stream": "O2Level"},
+                "actions": [action],
+            })
+        assert agent.rules == rules
+        agent.step(o2_message(85))
+        assert agent.actuators == {"external_light": True}
+
 
 class TestSpecValidation:
     def test_unknown_sensor_rejected(self):
@@ -388,6 +409,30 @@ class TestWireFormat:
         decoder = AclFrameDecoder()
         assert decoder.feed(encode_acl(a) + encode_acl(b)) == [a, b]
 
+    @pytest.mark.parametrize("key, value", [
+        ("performative", "BOGUS"),
+        ("sender", 5),
+        ("receivers", []),
+        ("receivers", [["e1"]]),
+        ("receivers", "e1"),
+        ("content", [1]),
+        ("sent_at", None),
+    ])
+    def test_bad_body_rejected(self, key, value):
+        good = {"performative": "INFORM", "sender": "a", "receivers": ["b"],
+                "content": {"stream": "S"}, "sent_at": 1}
+        assert decode_acl_body(json.dumps(good).encode()) == AclMessage(
+            "INFORM", "a", ("b",), {"stream": "S"}, 1)
+        with pytest.raises(PayloadError):
+            decode_acl_body(json.dumps(dict(good, **{key: value})).encode())
+
+    def test_bad_frame_between_good_ones_is_dropped_alone(self, caplog):
+        a, b = o2_message(85), o2_message(86)
+        bad = encode_acl(AclMessage("BOGUS", "e2.vent", BROADCAST, {}, 0))
+        decoder = AclFrameDecoder()
+        assert decoder.feed(encode_acl(a) + bad + encode_acl(b)) == [a, b]
+        assert "unknown performative 'BOGUS'" in caplog.text
+
 
 class TestGatewayChannels:
     def test_register_send_and_echo_service_counters(self):
@@ -469,6 +514,32 @@ class TestGatewayChannels:
         assert send(2) == [0, 1, 2]
         assert server.counters == {"acl_in": 3, "acl_out": 3}
         assert server.registry.ready == {}
+
+    @pytest.mark.parametrize("bad", [
+        AclMessage("BOGUS", "a1", ("b1",), {"stream": "S"}, 0),
+        AclMessage("INFORM", "a1", ("b1",), [1], 0),
+    ])
+    def test_bad_frame_in_a_chunk_loses_only_itself(self, bad):
+        server = GatewayServer()
+        a_end, a_server = make_sync_pair()
+        b_end, b_server = make_sync_pair()
+        server.attach_channel(a_server)
+        server.attach_channel(b_server)
+        client_a, client_b = GatewayClient("edge-a"), GatewayClient("edge-b")
+        client_a.connect(a_end)
+        client_b.connect(b_end)
+        inbox_b = []
+        client_b.on_message = inbox_b.append
+        client_a.register(["a1"])
+        client_b.register(["b1"])
+        first, second = value_message("a1", ("b1",), 1), value_message("a1", ("b1",), 2)
+        chunk = encode_acl(first) + encode_acl(bad) + encode_acl(second)
+        a_end.send(chunk)  # into the server
+        assert inbox_b == [first, second]
+        assert server.counters == {"acl_in": 2, "acl_out": 2}
+        b_server.send(chunk)  # into the client
+        assert inbox_b == [first, second, first, second]
+        assert client_b.counters["acl_received"] == 4
 
 
 def value_message(sender, receivers, value):

@@ -267,6 +267,37 @@ class TestQos0Accounting:
         assert sub.counters["publish_received"] == 1
 
 
+class TestBadInputDropsSession:
+    """The broker checks topics where they come in, off the wire; a client
+    that sends a bad one loses its session, and the others carry on."""
+
+    @pytest.mark.parametrize("topic", ["a/+/b", "a/#", ""])
+    @pytest.mark.parametrize("qos", [0, 1])
+    def test_publish_to_a_bad_topic(self, broker, clock, topic, qos):
+        sub = attach_client(broker, "sub", clock)
+        inbox = collect(sub)
+        sub.subscribe([("#", 0)])
+        bad = attach_client(broker, "bad", clock)
+        bad.publish(topic, b"x", qos=qos)  # not checked at the call
+        assert broker.session_count() == 1
+        assert broker.counters["publish_in"] == 0 and inbox == []
+        attach_client(broker, "good", clock).publish("a/b", b"y")
+        assert inbox == [("a/b", b"y")]
+
+    @pytest.mark.parametrize("filters", [[("a/#/b", 0)], [("t", 0), ("a/b+", 1)], []])
+    def test_subscribe_with_bad_or_no_filters(self, broker, clock, filters):
+        from atmosphere.errors import TransportError
+
+        other = attach_client(broker, "other", clock)
+        bad = attach_client(broker, "bad", clock)
+        with pytest.raises(TransportError, match="no SUBACK"):
+            bad.subscribe(filters, timeout_s=0)
+        assert broker.session_count() == 1
+        assert session_of(broker, "other").subscriptions == []
+        other.subscribe([("t", 0)])
+        assert session_of(broker, "other").subscriptions == [("t", 0)]
+
+
 class TestConnectHook:
     def test_refused_client_gets_not_authorized(self, clock):
         from atmosphere.errors import TransportError

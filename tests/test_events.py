@@ -116,15 +116,9 @@ def test_decode_malformed_payloads(registry):
         decode_event(b"[1,2]", registry)
     with pytest.raises(PayloadError):
         decode_event(b'{"_stream":"Empty","_ts":1}', registry)
-    with pytest.raises(PayloadError):
-        decode_event(b'{"_stream":"Empty","_ts":-1,"_src":"x"}', registry)
-
-
-def test_event_invariants():
-    with pytest.raises(SchemaError):
-        Event("9bad", {}, 0, "n")
-    with pytest.raises(SchemaError):
-        Event("ok", {}, -1, "n")
+    for ts in (b"-1", b"true", b"1.5", b'"1"'):
+        with pytest.raises(PayloadError):
+            decode_event(b'{"_stream":"Empty","_ts":' + ts + b',"_src":"x"}', registry)
 
 
 _SCHEMA_FIELDS = st.dictionaries(

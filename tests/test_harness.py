@@ -140,6 +140,67 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="^/simulators/0/fields/a: "):
             load_scenario(path)
 
+    @staticmethod
+    def checked_doc() -> dict:
+        """A scenario that loads, with one of each input the loader checks."""
+        return {
+            "name": "checks",
+            "schemas": {"S": {"rid": "integer"}},
+            "topology": {
+                "fogs": [{"id": "f1", "patterns": [], "extra_inputs": ["c1/out/fog"]}],
+                "clouds": [{
+                    "id": "c1",
+                    "sources": [{"topic": "c1/in/lab", "transformer": "t"}],
+                    "transformers": [{"id": "t", "output_stream": "S",
+                                      "fields": [{"from": "r", "to": "rid"}]}],
+                    "sinks": [{"id": "to-fog", "kind": "topic", "topic": "c1/out/fog", "targets": ["fog"]},
+                              {"id": "notes", "kind": "notification", "targets": ["cloud"]}],
+                }],
+                "edges": [{"id": "e1", "fog": "f1", "agents": [{
+                    "id": "e1.a",
+                    "sensors": ["s"],
+                    "rules": [{"id": "r", "trigger": {"kind": "sensor", "sensor": "s"},
+                               "actions": [{"kind": "publish_fog", "topic": "f1/in",
+                                            "stream": "S", "fields": {"rid": 1}}]}],
+                }]}],
+            },
+            "simulators": [{"edge": "e1", "stream": "S", "rate": 1,
+                            "fields": {"rid": {"kind": "sequence"}}}],
+        }
+
+    def test_checked_doc_loads(self, tmp_path):
+        path = tmp_path / "checks.json"
+        path.write_text(json.dumps(self.checked_doc()))
+        load_scenario(path)
+
+    @pytest.mark.parametrize("where, value, error_path", [
+        ("/topology/fogs/0/id", "f+1", "/topology/fogs/0/id"),
+        ("/topology/edges/0/id", "e/1", "/topology/edges/0/id"),
+        ("/topology/edges/0/agents/0/rules/0/actions/0/topic", "f1/+/in",
+         "/topology/edges/0/agents/0/rules/0/actions/0/topic"),
+        ("/topology/clouds/0/sinks/0/topic", "c1/out/#", "/topology/clouds/0/sinks/0/topic"),
+        ("/topology/clouds/0/sources/0/topic", "c1/in/+", "/topology/clouds/0/sources/0/topic"),
+        ("/topology/fogs/0/extra_inputs/0", "a/#/b", "/topology/fogs/0/extra_inputs/0"),
+        ("/topology/clouds/0/sinks/1/targets", ["cloud", "fog"], "/topology/clouds/0/sinks/1/targets"),
+        ("/schemas/S/rid", "number", "/simulators/0/fields/rid"),
+        ("/topology/fogs/0/patterns", ["no_target.epl"], "/topology/fogs/0/patterns"),
+    ])
+    def test_bad_input_rejected_at_its_path(self, tmp_path, where, value, error_path):
+        (tmp_path / "no_target.epl").write_text(
+            '@Name("P") @Tag(name="domainName", value="fog") '
+            "insert into Out select a1.* from pattern [(every a1 = S)]"
+        )
+        doc = self.checked_doc()
+        *parents, key = where.strip("/").split("/")
+        node = doc
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[int(key) if isinstance(node, list) else key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{error_path}: "):
+            load_scenario(path)
+
     def test_every_scenario_and_perfbench_workload_loads(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
         import workloads

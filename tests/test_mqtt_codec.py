@@ -113,10 +113,6 @@ def test_decode_rejects_reserved_types():
 
 
 def test_qos1_requires_packet_id():
-    with pytest.raises(MqttProtocolError):
-        Publish(topic="t", payload=b"", qos=1)
-    with pytest.raises(MqttProtocolError):
-        Publish(topic="t", payload=b"", qos=0, packet_id=3)
     # Wire form with qos=1 but a zero packet id is a protocol violation.
     raw = bytes([0x32, 0x05, 0x00, 0x01]) + b"t" + bytes([0x00, 0x00])
     with pytest.raises(MqttProtocolError):
@@ -124,14 +120,17 @@ def test_qos1_requires_packet_id():
 
 
 def test_topic_validation():
-    with pytest.raises(MqttProtocolError):
-        Publish(topic="", payload=b"", qos=0)
-    with pytest.raises(MqttProtocolError):
-        Publish(topic="a/+/b", payload=b"", qos=0)
-    with pytest.raises(MqttProtocolError):
-        Subscribe(packet_id=1, filters=(("a/#/b", 0),))
-    with pytest.raises(MqttProtocolError):
-        Subscribe(packet_id=1, filters=(("a/b+", 0),))
+    # packets built in process are not checked; the decoder checks the wire
+    for packet in (
+        Publish(topic="", payload=b""),
+        Publish(topic="a/+/b", payload=b""),
+        Publish(topic="a/#", payload=b"", qos=1, packet_id=1),
+        Subscribe(packet_id=1, filters=(("a/#/b", 0),)),
+        Subscribe(packet_id=1, filters=(("ok", 0), ("a/b+", 0))),
+        Subscribe(packet_id=1, filters=()),
+    ):
+        with pytest.raises(MqttProtocolError):
+            decode_packet(encode_packet(packet))
 
 
 _topic_level = st.from_regex(r"[a-z0-9_]{1,6}", fullmatch=True)

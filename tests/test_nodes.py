@@ -116,17 +116,6 @@ class TestFogRouting:
         publisher.publish(topics.fog_input("f1"), encode_event(event, registry))
         assert fog.ingest_count == 1
 
-    def test_pattern_without_target_rejected(self):
-        from atmosphere.errors import ConfigError
-
-        registry = registry_with(EventSchema("Ping", {"n": "integer"}))
-        no_target = (
-            '@Name("P") @Tag(name="domainName", value="fog") '
-            "insert into Out select a1.* from pattern [(every a1 = Ping)]"
-        )
-        with pytest.raises(ConfigError, match="target"):
-            FogNode("f1", Broker(), registry, [parse_pattern(no_target)])
-
     def test_peer_fog_input_processed_like_edge_input(self):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}))
         broker = Broker()
@@ -218,6 +207,35 @@ class TestUserBridge:
         assert edge.agents["e1.light"].rules[0].guard_text == "value <= 70"
         # user-bound chatter on the shared topic is ignored by the user node itself
         assert user.alerts == []
+
+    def test_rule_update_failing_the_spec_check_is_dead_lettered(self):
+        registry, broker, fog = self.make_fog()
+        spec = parse_agent_spec(
+            {
+                "id": "e1.light",
+                "actuators": {"light": False},
+                "rules": [{"id": "on-low", "trigger": {"kind": "message", "stream": "O2Level"},
+                           "actions": [{"kind": "log", "template": "low"}]}],
+            },
+            path="/a",
+        )
+        edge = EdgeNode("e1", "f1", [spec], registry, clock=lambda: 0)
+        edge.attach_broker(attach_client(broker, "e1"))
+        user = UserNode("u", "f1", registry)
+        user.attach(attach_client(broker, "u"))
+        rules = list(edge.agents["e1.light"].rules)
+        user.publish_rule_update(
+            "e1.light",
+            {"id": "on-low", "trigger": {"kind": "message", "stream": "O2Level"},
+             "actions": [{"kind": "actuate", "actuator": "door", "value": 1}]},
+        )
+        edge.pump()
+        assert len(edge.dead_letters) == 1
+        assert "undeclared actuator 'door'" in edge.dead_letters[0]
+        agent = edge.agents["e1.light"]
+        assert agent.rules == rules
+        agent.step(AclMessage("INFORM", "f1", ("e1.light",), {"stream": "O2Level"}, 1))
+        assert agent.actuators == {"light": False}
 
 
 class TestCloudNode:
