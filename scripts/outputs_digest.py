@@ -3,6 +3,7 @@
 
     python3 scripts/outputs_digest.py scenarios/hospital.json
     python3 scripts/outputs_digest.py scenarios/bench.json --mode agents-only --qos 1
+    python3 scripts/outputs_digest.py --guard
 
 The run is one ``run_scenario`` on the event-time clock, with the scenario's
 own rate and duration. The lines cover the emissions, alerts, notifications,
@@ -10,6 +11,12 @@ the edges' effect logs, each counter and the round trips (counts and
 records). Two versions of the program give equal outputs for a scenario
 exactly when they print the same lines, so ``diff`` the output of one
 checkout against another's to check that a change keeps outputs unchanged.
+
+``--guard`` digests the standard set in one call, each line labelled with its
+run: ``scenarios/hospital.json`` at its own QoS and at QoS 1; the perfbench
+hospital ward (``perfbench.workloads.ward_scenario``) at seeds 1 and 2, each
+at QoS 0 and 1; and ``scenarios/bench.json`` in full mode at QoS 1 and 0,
+and agents-only and cep-only at QoS 1.
 """
 
 from __future__ import annotations
@@ -18,9 +25,11 @@ import argparse
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from atmosphere.harness import RunOverrides, load_scenario, run_scenario  # noqa: E402
 from atmosphere.harness import runner  # noqa: E402
@@ -58,14 +67,40 @@ def run_digests(scenario: str, seed: int | None, mode: str | None, qos: int | No
     return lines
 
 
+def guard_digests() -> list[tuple[str, str]]:
+    """(label, digest) for each output of each run of the standard guard set."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    scenarios = ROOT / "scenarios"
+    runs = [("hospital", scenarios / "hospital.json", None, None),
+            ("hospital qos1", scenarios / "hospital.json", None, 1)]
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in (1, 2):
+            ward = Path(tmp) / f"ward{seed}.json"
+            ward.write_text(json.dumps(workloads.ward_scenario(seed)), encoding="utf-8")
+            runs += [(f"ward{seed} qos{qos}", ward, None, qos) for qos in (0, 1)]
+        runs += [(f"bench {mode} qos{qos}", scenarios / "bench.json", mode, qos)
+                 for mode, qos in (("full", 1), ("full", 0), ("agents-only", 1), ("cep-only", 1))]
+        for label, scenario, mode, qos in runs:
+            lines += [(f"{label} {name}", digest)
+                      for name, digest in run_digests(str(scenario), None, mode, qos)]
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("scenario", help="scenario JSON file")
+    parser.add_argument("scenario", nargs="?", help="scenario JSON file")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
     parser.add_argument("--mode", choices=["full", "cep-only", "agents-only"], default=None)
     parser.add_argument("--qos", type=int, choices=[0, 1], default=None)
+    parser.add_argument("--guard", action="store_true", help="digest the standard guard set instead")
     args = parser.parse_args(argv)
-    for name, digest in run_digests(args.scenario, args.seed, args.mode, args.qos):
+    if args.guard == (args.scenario is not None):
+        parser.error("give either a scenario or --guard")
+    lines = guard_digests() if args.guard else run_digests(args.scenario, args.seed, args.mode, args.qos)
+    for name, digest in lines:
         print(f"{digest}  {name}")
     return 0
 

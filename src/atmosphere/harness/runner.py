@@ -11,18 +11,18 @@ feeder) and which edges; by default, everything.
 
 One driver, :func:`drive`, runs a deployment's tasks on its loop: the
 engines' window boundaries, then the timeline, each simulator and each
-edge's agent timers, generators that yield when they are next due. Ties run
-in start order; the edges are pumped after every turn. No input due after
-the duration applies, and one that raises an :class:`AtmosphereError` is
-logged and ends there.
+edge's agent timers, generators that yield when they are next due, and the
+QoS 1 re-sends. Ties run in start order; the edges are pumped after every
+turn. No input due after the duration applies, and one that raises an
+:class:`AtmosphereError` is logged and ends there.
 
 * ``event_time``: sync links, the loop on a virtual clock (a
   :class:`LogicalClock`). Byte-identical output for a given seed; used for
   all correctness runs.
-* ``processing_time``: queued (or tcp) links on the wall clock, plus a 50 ms
-  tick and a CPU sample; the benches, in one process or in each of a split
-  run. Latency is measured on the edge from a send's due time to the return
-  of the matching complex event.
+* ``processing_time``: queued (or tcp) links on the wall clock, plus a CPU
+  sample; the benches, in one process or in each of a split run. Latency
+  is measured on the edge from a send's due time to the return of the
+  matching complex event.
 
 The bench convention: every simulator event carries a ``rid`` field, the fog
 echoes it back on the edge output topic, and the edge records the round trip.
@@ -50,7 +50,6 @@ from .metrics import MetricsSink, RunReport
 
 logger = logging.getLogger(__name__)
 
-SATURATION_HIGH_WATER = 1000
 SATURATION_LAG_S = 0.1  # a send this late falls in the paper's top latency bucket
 SATURATION_HOLD_S = 5.0
 DRAIN_S = 10.0
@@ -456,6 +455,32 @@ def _agent_timers(deployment: Deployment, edge: EdgeNode, due, duration_ms: int)
             return
 
 
+def _resends(deployment: Deployment, due, duration_ms: int):
+    """The broker's and hosted clients' QoS 1 re-sends at their due times; an
+    entry due sooner wakes the task (``on_resend``). With nothing in flight
+    it waits for the duration, and past the duration it ends."""
+    loop, rank = deployment.loop, deployment.loop.running
+    owners = [owner for owner in (deployment.broker, *deployment.clients) if owner is not None]
+    at_ms = duration_ms
+
+    def on_resend(due_ms: int) -> None:
+        nonlocal at_ms
+        if due_ms < at_ms:
+            at_ms = due_ms
+            loop.wake(rank, due(due_ms))
+
+    for owner in owners:
+        owner.on_resend = on_resend
+    while True:
+        yield due(at_ms)
+        now_ms = deployment.clock()
+        at_ms = duration_ms if now_ms < duration_ms else float("inf")  # on_resend may lower it
+        dues = [owner.tick(now_ms) for owner in owners]
+        at_ms = min([at for at in dues if at is not None] + [at_ms])
+        if at_ms == float("inf"):
+            return
+
+
 def _emit_probe(deployment: Deployment, sink: MetricsSink, edge_id: str, stream: str,
                 fields: dict, at_ms: int) -> None:
     edge = deployment.edges[edge_id]
@@ -525,9 +550,9 @@ def _collect(deployment: Deployment, sink: MetricsSink, run: RunDefaults,
 def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
     """Run ``deployment`` on its loop and report on the nodes it hosts: the
     engine boundaries and the input tasks, each input due at, and stamped
-    with, its offset from the clock origin; then the wait for in-flight
-    round trips and acks. On a virtual clock the run ends once nothing is
-    left to run, and the wall-time chores stay out.
+    with, its offset from the clock origin, and the QoS 1 re-sends; then the
+    wait for in-flight round trips and acks. On a virtual clock the run ends
+    once nothing is left to run, and the CPU sample stays out.
 
     ``peers`` ties this process to the others of a split run:
     ``peers.ready()`` returns once this one may start sending, and after
@@ -537,8 +562,7 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
     virtual = loop.clock is not None
     sink = MetricsSink(run.qos, run.mode)
     cpu_samples: list[tuple[int, str, float]] = []
-    saturated = stopped = False
-    calm_at = time.monotonic()  # when the ready deque last held no more than the high water
+    saturated = False
     late_at = None  # the first of the latest resumes in a row over SATURATION_LAG_S late
     sending = 0  # tasks not yet ended
 
@@ -570,20 +594,6 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
             logger.error("input failed: %s", exc)
         finally:
             sending -= 1
-
-    def tick():
-        """QoS 1 re-sends, the saturation watch and the split run's stop."""
-        nonlocal calm_at, saturated, stopped
-        now = clock()
-        if deployment.broker is not None:
-            deployment.broker.tick(now)
-        for client in deployment.clients:
-            client.tick(now)
-        if len(loop.ready) <= SATURATION_HIGH_WATER:
-            calm_at = time.monotonic()
-        elif time.monotonic() - calm_at > SATURATION_HOLD_S:
-            saturated = True
-        stopped = peers is not None and peers.stop.is_set()
 
     def sample_cpu():
         # process CPU time over wall time, in percent of one core
@@ -620,14 +630,15 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
         loop.after_turn = deployment.pump_edges  # it skips edges nothing has flagged
         for task in _tasks(deployment, sink, rate_override, due):
             loop.start(awaited(task))
+        loop.start(_resends(deployment, due, int(run.duration_s * 1000)))
         if not virtual:
-            loop.start(every(0.05, tick))
             loop.start(sample_cpu())
         loop.run_until(lambda: not sending or saturated, run.duration_s + 6.0)
         loop.run_until(drained, DRAIN_S)
         if peers is not None:
             peers.drained()
-            loop.run_until(lambda: stopped)
+            loop.start(every(0.05, lambda: None))  # a turn every 50 ms, to see the stop
+            loop.run_until(peers.stop.is_set)
             loop.run_until(drained, DRAIN_S)
     finally:
         report = _collect(deployment, sink, run, cpu_samples, saturated)

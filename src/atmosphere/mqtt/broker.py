@@ -10,8 +10,8 @@ Delivery ordering: per-connection FIFO holds for QoS 0; QoS 1 re-deliveries
 publishes.
 
 Each session keeps its unacked QoS 1 forwards in an :class:`Inflight`, the
-helper the client uses too; a session whose due re-send has no retries left
-is dropped.
+helper the client uses too; :meth:`Broker.tick` re-sends the due ones, and
+drops a session whose due re-send has no retries left.
 
 Routes are cached per topic and emptied on every change that can alter a
 match: attach, CONNECT, SUBSCRIBE, internal subscribe and drop.
@@ -114,6 +114,10 @@ class Inflight(dict):
             resends.append(entry.publish)
         return resends, exhausted
 
+    def next_due(self, retry_timeout_ms: int) -> int | None:
+        """When the earliest re-send falls due; None with nothing in flight."""
+        return min((entry.last_sent_at + retry_timeout_ms for entry in self.values()), default=None)
+
 
 @dataclass
 class Session:
@@ -143,6 +147,7 @@ class Broker:
         # Security hook stub: return False to refuse a client id. Transport
         # hardening (TLS, credentials) is out of scope; this is the seam.
         self.connect_hook = connect_hook
+        self.on_resend = lambda due_ms: None  # hook: the due time of a forward's first re-send
         self._sessions: list[Session] = []
         self._internal_subs: list[tuple[str, Callable[[str, bytes], None]]] = []
         # topic -> (internal callbacks, ((session, max granted qos), ...)),
@@ -269,11 +274,12 @@ class Broker:
                     Publish(topic=publish.topic, payload=publish.payload, qos=0),
                 )
             else:
-                forward = subscriber.inflight.open(publish.topic, publish.payload, self._clock())
+                forward = subscriber.inflight.open(publish.topic, publish.payload, now := self._clock())
+                self.on_resend(now + self.retry_timeout_ms)
                 self._send(subscriber, forward)
 
-    def tick(self, now_ms: int | None = None) -> None:
-        """Drive QoS 1 retransmission; call periodically (or manually in tests)."""
+    def tick(self, now_ms: int | None = None) -> int | None:
+        """Drive QoS 1 retransmission; returns the next re-send's due time, or None."""
         now = self._clock() if now_ms is None else now_ms
         for session in list(self._sessions):
             resends, exhausted = session.inflight.due(
@@ -285,6 +291,8 @@ class Broker:
                 continue
             for publish in resends:
                 self._send(session, publish)
+        dues = [s.inflight.next_due(self.retry_timeout_ms) for s in self._sessions if s.inflight]
+        return min(dues, default=None)
 
     # -- internals -------------------------------------------------------
 
@@ -342,9 +350,7 @@ class Broker:
         self._routes.clear()
 
     def _drop(self, session: Session) -> None:
-        if session in self._sessions:
-            self._sessions.remove(session)
-        self._routes.clear()
+        self._on_endpoint_closed(session)
         if session.endpoint is not None:
             session.endpoint.close()
 

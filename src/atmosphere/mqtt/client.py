@@ -2,9 +2,10 @@
 
 Shares the broker's at-least-once bookkeeping (:class:`.broker.Inflight`) on
 the outbound side: QoS 1 publishes stay in flight until acked and are re-sent
-with the dup flag on :meth:`MqttClient.tick`; one whose retries run out is
-given up. Packet counters live here because round-trip
-accounting in the harness is measured from the node's perspective.
+with the dup flag by :meth:`MqttClient.tick`; one whose retries run out is
+given up, and so is all in flight once the link closes. Packet counters live
+here because round-trip accounting in the harness is measured from the
+node's perspective.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ class MqttClient:
         self._pending_subacks: set[int] = set()
         self.inflight = Inflight()
         self.on_message: Callable[[str, bytes], None] | None = None
+        self.on_resend = lambda due_ms: None  # hook: the due time of a publish's first re-send
         self.counters = {
             "publish_sent": 0,
             "publish_received": 0,
@@ -67,6 +69,7 @@ class MqttClient:
     def connect(self, endpoint: Endpoint, keep_alive_s: int = 60, timeout_s: float = 5.0) -> None:
         self._endpoint = endpoint
         endpoint.on_receive = self._feed
+        endpoint.on_close = self._closed
         self._send(Connect(client_id=self.client_id, keep_alive_s=keep_alive_s))
         if not endpoint.wait_until(lambda: self._connected, timeout_s):
             raise TransportError(f"{self.client_id}: no CONNACK within {timeout_s}s")
@@ -80,17 +83,20 @@ class MqttClient:
 
     def publish(self, topic: str, payload: bytes, qos: int = 0) -> int | None:
         """Publish; returns the packet id for QoS 1, None for QoS 0."""
+        if self._endpoint is None or self._endpoint.closed:
+            raise TransportError(f"{self.client_id}: not connected")
         if qos == 0:
             self.counters["publish_sent"] += 1
             self._send(Publish(topic=topic, payload=payload, qos=0))
             return None
-        publish = self.inflight.open(topic, payload, self._clock(), self._pending_subacks)
+        publish = self.inflight.open(topic, payload, now := self._clock(), self._pending_subacks)
+        self.on_resend(now + self.retry_timeout_ms)
         self.counters["publish_sent"] += 1
         self._send(publish)
         return publish.packet_id
 
-    def tick(self, now_ms: int | None = None) -> None:
-        """Re-send unacked QoS 1 publishes past the retry timeout."""
+    def tick(self, now_ms: int | None = None) -> int | None:
+        """Re-send the QoS 1 publishes past the retry timeout; the next due time, or None."""
         now = self._clock() if now_ms is None else now_ms
         resends, exhausted = self.inflight.due(now, self.retry_timeout_ms, self.max_retries)
         for pid in exhausted:
@@ -99,6 +105,7 @@ class MqttClient:
         for publish in resends:
             self.counters["publish_sent"] += 1
             self._send(publish)
+        return self.inflight.next_due(self.retry_timeout_ms)
 
     def disconnect(self) -> None:
         if self._endpoint is not None and not self._endpoint.closed:
@@ -106,11 +113,16 @@ class MqttClient:
                 self._send(Disconnect())
             except AtmosphereError:
                 pass
-            self._endpoint.close()
-        self._connected = False
+            self._endpoint.close()  # which marks this client disconnected
 
     def inflight_count(self) -> int:
         return len(self.inflight)
+
+    def _closed(self) -> None:
+        if self.inflight:  # a clean session keeps nothing
+            logger.warning("%s: link closed; giving up %d publishes", self.client_id, len(self.inflight))
+        self._connected = False
+        self.inflight.clear()
 
     # -- inbound ----------------------------------------------------------
 

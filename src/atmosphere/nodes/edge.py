@@ -245,7 +245,6 @@ class EdgeNode:
                 try:
                     event = Event(effect.stream, effect.fields, effect.at, self.node_id)
                     payload = encode_event(event, self.registry)
-                except AtmosphereError as exc:
-                    self.dead_letters.append(f"{agent.id}: bad fog publish: {exc}")
-                    continue
-                self.broker_client.publish(effect.topic, payload, qos=self.qos)
+                    self.broker_client.publish(effect.topic, payload, qos=self.qos)
+                except AtmosphereError as exc:  # a bad event, or a closed broker link
+                    self.dead_letters.append(f"{agent.id}: fog publish failed: {exc}")

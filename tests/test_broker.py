@@ -239,6 +239,18 @@ class TestInflight:
         assert client.inflight[young].retry_count == 1
         assert old != young
 
+    def test_next_due_is_the_earliest_resend(self, broker, clock):
+        assert Inflight().next_due(1000) is None
+        inflight = self._inflight_with_entry(age_origin=300)
+        inflight.open("t", b"y", 200)
+        assert inflight.next_due(1000) == 1200
+        attach_client(broker, "c", clock)
+        session_of(broker, "c").inflight = inflight
+        assert broker.tick() == 1200
+        clock.advance(1200)
+        assert broker.tick() == 1300  # the entry opened at 200 was re-sent, and acked
+        assert broker.tick(1300) is None
+
     def test_packet_ids_skip_taken_and_wrap(self):
         inflight = Inflight()
         inflight.next_packet_id = 65534
@@ -296,6 +308,28 @@ class TestBadInputDropsSession:
         assert session_of(broker, "other").subscriptions == []
         other.subscribe([("t", 0)])
         assert session_of(broker, "other").subscriptions == [("t", 0)]
+
+    def test_client_sees_its_session_dropped(self, broker, clock, caplog):
+        """A clean session keeps nothing: the client gives up what it has in
+        flight, and later publishes fail."""
+        from atmosphere.errors import TransportError
+
+        client_end, broker_end = make_sync_pair("c-c", "c-b", drop_b_to_a=lambda data: data[0] >> 4 == 4)
+        broker.attach(broker_end)
+        client = MqttClient("c", clock=clock)
+        client.connect(client_end)
+        client.publish("a/b", b"unacked", qos=1)  # its PUBACK is lost
+        assert client.inflight_count() == 1
+        with caplog.at_level(logging.WARNING):
+            client.publish("a/+", b"x")
+        assert broker.session_count() == 0 and client_end.closed
+        assert not client.connected
+        assert client.inflight_count() == 0 and "giving up 1 publishes" in caplog.text
+        with pytest.raises(TransportError, match="not connected"):
+            client.publish("a/b", b"y", qos=1)
+        assert client.inflight_count() == 0 and client.counters["publish_sent"] == 2
+        clock.advance(10_000)
+        assert client.tick() is None
 
 
 class TestConnectHook:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -314,20 +315,96 @@ class TestBenchRuns:
         assert rows and all(row.split(",")[1] == "all" for row in rows)
         assert all(float(row.split(",")[2]) >= 0 for row in rows)
 
-    def test_saturation_flag(self, bench, monkeypatch):
-        monkeypatch.setattr(runner_mod, "SATURATION_HIGH_WATER", -1)
-        monkeypatch.setattr(runner_mod, "SATURATION_HOLD_S", 0.0)
-        report = self.run_bench(bench, qos=0, duration_s=1)
-        assert report.saturated is True
-
     def test_saturation_by_send_lag(self, bench, monkeypatch):
-        """Every resume counts as late: the second input ends the run; the
-        ready deque never nears its high water at 40/s."""
+        """Every resume counts as late: the second input ends the run; send
+        lag is the only saturation signal."""
         monkeypatch.setattr(runner_mod, "SATURATION_LAG_S", -1.0)
         monkeypatch.setattr(runner_mod, "SATURATION_HOLD_S", 0.0)
         report = self.run_bench(bench, qos=0, duration_s=1)
         assert report.saturated is True
         assert report.round_trips["initiated"] < 40
+
+
+def mqtt_links(monkeypatch, drop=(), stamp=time.monotonic):
+    """Log every PUBLISH on the run's MQTT links as it leaves, as (sending
+    end, ``stamp()``, dup); e1's own PUBLISHes numbered in ``drop`` (from 1,
+    re-sends counted) are lost."""
+    sent = []
+    make = runner_mod.make_queue_pair
+
+    def lossy(name):
+        def lost(data):
+            if data[0] >> 4 != 3:  # not a PUBLISH
+                return False
+            sent.append((name, stamp(), bool(data[0] & 0x08)))
+            return name == "e1-c" and sum(1 for end, _, _ in sent if end == name) in drop
+        return lost
+
+    def make_pair(name_a, name_b, loop):
+        if not name_b.endswith("-b"):  # a gateway link
+            return make(name_a, name_b, loop)
+        return make(name_a, name_b, loop, lossy(name_a), lossy(name_b))
+
+    monkeypatch.setattr(runner_mod, "make_queue_pair", make_pair)
+    return sent
+
+
+class TestResends:
+    """QoS 1 re-sends are a task of the run, resumed when the earliest
+    in-flight entry falls due, under either clock."""
+
+    def test_event_time_resends_a_lost_publish(self, bench, monkeypatch):
+        sent = mqtt_links(monkeypatch, drop={30})
+        report = run_scenario(bench, RunOverrides(rate=10, duration_s=3, qos=1, warmup_s=0,
+                                                  clock="event_time"))
+        assert report.round_trips == {"initiated": 30, "completed": 30, "in_flight": 0,
+                                      "dead_lettered": 0}
+        assert report.counters["publish"] == 61 and report.counters["puback"] == 60
+        last = report.records[-1]
+        assert last.round_trip_id == 30 and last.latency_ms == 1000  # the retry timeout
+        assert [dup for end, _, dup in sent if end == "e1-c"] == [False] * 30 + [True]
+
+    def test_processing_time_resend_leaves_at_its_due_time(self, bench, monkeypatch):
+        clocks = []
+
+        class WallClock(runner_mod.WallClock):
+            """The run's clock, which keeps the last time it read."""
+
+            def __init__(self):
+                super().__init__()
+                self.last_ms = None
+                clocks.append(self)
+
+            def __call__(self):
+                self.last_ms = super().__call__()
+                return self.last_ms
+
+        monkeypatch.setattr(runner_mod, "WallClock", WallClock)
+        # a lost publish's entry is stamped with the client's last clock read;
+        # sends 2 to 7 of 7, all re-sent after the last input, at due times
+        # spread over a 50 ms period
+        lost = {2, 3, 4, 5, 6, 7}
+        sent = mqtt_links(monkeypatch, drop=lost,
+                          stamp=lambda: (time.monotonic(), clocks[0].last_ms))
+        report = run_scenario(bench, RunOverrides(rate=7, duration_s=1, qos=1, warmup_s=0,
+                                                  clock="processing_time"))
+        assert report.round_trips["completed"] == 7
+        start = clocks[0].start
+        ours = [(at, dup) for end, at, dup in sent if end == "e1-c"]
+        opened = [ours[n - 1][0][1] for n in sorted(lost)]
+        resends = [at[0] for at, dup in ours if dup]
+        assert len(resends) == len(lost)
+        # each due one retry timeout after its entry opened
+        lateness = sorted(resend - (start + (ms + 1000) / 1000) for ms, resend in zip(opened, resends))
+        assert lateness[0] >= 0
+        assert lateness[len(lateness) // 2] < 0.002  # a host stall may delay one or two
+
+    def test_loss_free_event_time_run_resends_nothing(self, bench, monkeypatch):
+        sent = mqtt_links(monkeypatch)
+        report = run_scenario(bench, RunOverrides(rate=40, duration_s=3, qos=1, warmup_s=0,
+                                                  clock="event_time"))
+        assert report.round_trips["completed"] == 120
+        assert sent and not any(dup for _, _, dup in sent)
 
 
 class TestOneLoop:
