@@ -19,8 +19,6 @@ from .model import (
     AclMessage,
     Actuation,
     ActuateAction,
-    BROADCAST,
-    BroadcastAction,
     Effect,
     FogPublish,
     LogAction,
@@ -123,21 +121,6 @@ class Agent:
                 resolved = self._interpolate(action.value, value)
                 self.actuators[action.actuator] = resolved
                 effects.append(Actuation(self.id, action.actuator, resolved))
-            elif isinstance(action, BroadcastAction):
-                effects.append(
-                    OutboundAcl(
-                        AclMessage(
-                            performative="INFORM",
-                            sender=self.id,
-                            receivers=BROADCAST,
-                            content={
-                                "stream": action.stream,
-                                "fields": self._interpolate_map(action.fields, value),
-                            },
-                            sent_at=at,
-                        )
-                    )
-                )
             elif isinstance(action, SendAction):
                 effects.append(
                     OutboundAcl(

@@ -140,14 +140,8 @@ Trigger = SensorTrigger | MessageTrigger | TimerTrigger
 
 
 @dataclass(frozen=True)
-class BroadcastAction:
-    stream: str
-    fields: dict
-
-
-@dataclass(frozen=True)
 class SendAction:
-    receivers: tuple
+    receivers: tuple  # of agent/service ids, or the BROADCAST marker string
     stream: str
     fields: dict
 
@@ -178,8 +172,7 @@ class LogAction:
 
 
 Action = (
-    BroadcastAction
-    | SendAction
+    SendAction
     | ActuateAction
     | PublishFogAction
     | SetStateAction
@@ -294,8 +287,10 @@ def parse_trigger(doc: dict, path: str) -> Trigger:
 def parse_action(doc: dict, path: str) -> Action:
     kind = doc.get("kind")
     if kind == "broadcast":
-        return BroadcastAction(
-            stream=_req_str(doc, "stream", path), fields=dict(doc.get("fields", {}))
+        return SendAction(
+            receivers=BROADCAST,
+            stream=_req_str(doc, "stream", path),
+            fields=dict(doc.get("fields", {})),
         )
     if kind == "send":
         receivers = doc.get("receivers")
@@ -415,7 +410,7 @@ def _check_refs(refs, spec: AgentSpec, rule_id: str, path: str) -> None:
 
 
 def _template_fields(action: Action):
-    if isinstance(action, (BroadcastAction, SendAction, PublishFogAction)):
+    if isinstance(action, (SendAction, PublishFogAction)):
         return [v for v in action.fields.values() if isinstance(v, str) and v.startswith("$")]
     if isinstance(action, ActuateAction):
         value = action.value

@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 
 from ..cep import Engine
+from ..errors import AtmosphereError
 from ..events import SchemaRegistry
 
 logger = logging.getLogger(__name__)
@@ -30,7 +31,12 @@ class EngineHost:
         # a wall-clock reading captured before an ingest stamped a newer
         # time must not read as a regression
         to_ms = max(to_ms, self.engine.clock.current)
-        self._route(self.engine.advance_clock(to_ms))
+        try:
+            emissions = self.engine.advance_clock(to_ms)
+        except AtmosphereError as exc:
+            self._dead_letter(f"boundary at {to_ms} failed: {exc}", b"")
+            return
+        self._route(emissions)
 
     def _dead_letter(self, reason: str, payload: bytes) -> None:
         logger.warning("%s dead-letter: %s", self.node_id, reason)

@@ -12,7 +12,6 @@ from atmosphere.agents import (
     BROADCAST,
     FogPublish,
     GatewayClient,
-    GatewayRegistry,
     GatewayServer,
     LogLine,
     OutboundAcl,
@@ -25,7 +24,7 @@ from atmosphere.agents import (
     encode_acl,
     parse_agent_spec,
 )
-from atmosphere.errors import ConfigError, GatewayError, GuardError, PayloadError
+from atmosphere.errors import ConfigError, GuardError, PayloadError
 from atmosphere.agents.exprs import eval_expr, eval_guard, parse_guard
 from atmosphere.transport import make_sync_pair
 
@@ -344,50 +343,50 @@ class TestGuardLanguage:
 
 
 class TestDispatch:
-    def make_registry(self, ids=("e1", "e2", "e3", "e4", "e5", "e6")):
-        registry = GatewayRegistry()
-        for agent_id in ids:
-            registry.register_agent(agent_id)
-        return registry
+    """Dispatch through the server, each agent on a channel of its own."""
+
+    def make_server(self, ids=("e1", "e2", "e3", "e4", "e5", "e6")):
+        server = GatewayServer()
+        return server, {agent_id: gateway_channel(server, [agent_id]) for agent_id in ids}
 
     def test_broadcast_reaches_all_but_sender(self):
-        registry = self.make_registry()
-        registry.dispatch(o2_message(88, sender="e2"))
+        server, channels = self.make_server()
+        channels["e2"][0].send(o2_message(88, sender="e2"))
         for agent_id in ("e1", "e3", "e4", "e5", "e6"):
-            assert len(registry.queues[agent_id]) == 1
-        assert len(registry.queues["e2"]) == 0
+            assert [m.receivers for m in channels[agent_id][1]] == [(agent_id,)]
+        assert channels["e2"][1] == []
 
     def test_directed_send_reaches_only_target(self):
-        registry = self.make_registry()
-        registry.dispatch(
-            AclMessage("INFORM", "e2", ("e4",), {"stream": "S", "fields": {}}, 0)
-        )
-        assert len(registry.queues["e4"]) == 1
-        assert all(not registry.queues[a] for a in ("e1", "e3", "e5", "e6"))
+        server, channels = self.make_server()
+        message = AclMessage("INFORM", "e2", ("e4",), {"stream": "S", "fields": {}}, 0)
+        channels["e2"][0].send(message)
+        assert channels["e4"][1] == [message]
+        assert all(not channels[a][1] for a in ("e1", "e2", "e3", "e5", "e6"))
 
     def test_unknown_receiver_notice_and_others_still_delivered(self):
-        registry = self.make_registry()
-        registry.dispatch(
+        server, channels = self.make_server()
+        channels["e2"][0].send(
             AclMessage("INFORM", "e2", ("ghost", "e4"), {"stream": "S", "fields": {}}, 0)
         )
-        assert len(registry.queues["e4"]) == 1
-        notice = registry.queues["e2"][0]
+        assert len(channels["e4"][1]) == 1
+        [notice] = channels["e2"][1]
         assert notice.stream == UNDELIVERABLE_STREAM
         assert notice.content["receiver"] == "ghost"
 
-    def test_unregistered_sender_rejected(self):
-        registry = self.make_registry()
-        with pytest.raises(GatewayError, match="unregistered sender"):
-            registry.dispatch(o2_message(88, sender="nobody"))
+    def test_unregistered_sender_dropped(self, caplog):
+        server, channels = self.make_server()
+        channels["e1"][0].send(o2_message(88, sender="nobody"))
+        assert "unregistered sender 'nobody'" in caplog.text
+        assert all(not frames for _, frames in channels.values())
+        assert server.counters == {"acl_in": 1, "acl_out": 0}
 
     def test_fifo_order_per_sender_receiver_pair(self):
-        registry = self.make_registry(ids=("a", "b"))
+        server, channels = self.make_server(ids=("a", "b"))
         for i in range(10):
-            registry.dispatch(
+            channels["a"][0].send(
                 AclMessage("INFORM", "a", ("b",), {"stream": "S", "fields": {"value": i}}, i)
             )
-        values = [m.content["fields"]["value"] for m in registry.drain("b")]
-        assert values == list(range(10))
+        assert [m.content["fields"]["value"] for m in channels["b"][1]] == list(range(10))
 
 
 class TestWireFormat:
@@ -486,35 +485,6 @@ class TestGatewayChannels:
         assert [m.content["fields"]["value"] for m in inbox_b] == list(range(5))
         assert server.counters == {"acl_in": 5, "acl_out": 5}
 
-
-    def test_message_to_agent_whose_channel_registers_later_delivered_once(self):
-        server = GatewayServer()
-        a_end, a_server = make_sync_pair()
-        b_end, b_server = make_sync_pair()
-        server.attach_channel(a_server)
-        server.attach_channel(b_server)
-        client_a = GatewayClient("edge-a")
-        client_b = GatewayClient("edge-b")
-        client_a.connect(a_end)
-        client_b.connect(b_end)
-        inbox_b = []
-        client_b.on_message = inbox_b.append
-        client_a.register(["a1"])
-        server.registry.register_agent("b1")  # known, but no channel yet
-
-        def send(value):
-            client_a.send(
-                AclMessage("INFORM", "a1", ("b1",), {"stream": "S", "fields": {"value": value}}, value)
-            )
-            return [m.content["fields"]["value"] for m in inbox_b]
-
-        assert send(0) == []
-        client_b.register(["b1"])
-        assert send(1) == [0, 1]
-        assert send(2) == [0, 1, 2]
-        assert server.counters == {"acl_in": 3, "acl_out": 3}
-        assert server.registry.ready == {}
-
     @pytest.mark.parametrize("bad", [
         AclMessage("BOGUS", "a1", ("b1",), {"stream": "S"}, 0),
         AclMessage("INFORM", "a1", ("b1",), [1], 0),
@@ -546,35 +516,37 @@ def value_message(sender, receivers, value):
     return AclMessage("INFORM", sender, receivers, {"stream": "S", "fields": {"value": value}}, value)
 
 
+def gateway_channel(server, agent_ids, register=True):
+    """A client on a new sync channel to ``server``, and the frames it gets."""
+    client_end, server_end = make_sync_pair()
+    server.attach_channel(server_end)
+    client = GatewayClient(f"edge-{agent_ids[0]}")
+    client.connect(client_end)
+    frames = []
+    client.on_message = frames.append
+    if register:
+        client.register(list(agent_ids))
+    return client, frames
+
+
+def inbox(frames, agent_id):
+    """Values ``agent_id`` got, one per frame naming it, in arrival order."""
+    return [
+        m.content["fields"]["value"] if m.stream == "S" else m.stream
+        for m in frames
+        for r in m.receivers
+        if r == agent_id
+    ]
+
+
 class TestGatewayFrames:
     """One frame per (message, channel), naming that channel's receivers."""
 
-    def channel(self, server, agent_ids, register=True):
-        client_end, server_end = make_sync_pair()
-        server.attach_channel(server_end)
-        client = GatewayClient(f"edge-{agent_ids[0]}")
-        client.connect(client_end)
-        frames = []
-        client.on_message = frames.append
-        if register:
-            client.register(list(agent_ids))
-        return client, frames
-
-    @staticmethod
-    def inbox(frames, agent_id):
-        """Values ``agent_id`` got, one per frame naming it, in arrival order."""
-        return [
-            m.content["fields"]["value"] if m.stream == "S" else m.stream
-            for m in frames
-            for r in m.receivers
-            if r == agent_id
-        ]
-
     def test_one_frame_per_channel_naming_its_receivers(self):
         server = GatewayServer()
-        sender, _ = self.channel(server, ["s"])
-        _, frames_x = self.channel(server, ["x1", "x2", "x3"])
-        _, frames_y = self.channel(server, ["y1"])
+        sender, _ = gateway_channel(server, ["s"])
+        _, frames_x = gateway_channel(server, ["x1", "x2", "x3"])
+        _, frames_y = gateway_channel(server, ["y1"])
         sender.send(value_message("s", ("x1", "y1", "x2", "x3"), 7))
         assert server.counters == {"acl_in": 1, "acl_out": 2}
         assert [m.receivers for m in frames_x] == [("x1", "x2", "x3")]
@@ -583,8 +555,8 @@ class TestGatewayFrames:
 
     def test_broadcast_one_frame_per_channel_without_the_sender(self):
         server = GatewayServer()
-        _, frames_x = self.channel(server, ["x1", "x2"])
-        sender, frames_y = self.channel(server, ["y1", "s"])
+        _, frames_x = gateway_channel(server, ["x1", "x2"])
+        sender, frames_y = gateway_channel(server, ["y1", "s"])
         sender.send(value_message("s", BROADCAST, 1))
         assert server.counters == {"acl_in": 1, "acl_out": 2}
         assert [m.receivers for m in frames_x] == [("x1", "x2")]
@@ -592,52 +564,47 @@ class TestGatewayFrames:
 
     def test_fifo_per_agent_mixing_one_and_many_receivers(self):
         server = GatewayServer()
-        sender, _ = self.channel(server, ["s"])
-        _, frames = self.channel(server, ["x1", "x2", "x3"])
+        sender, _ = gateway_channel(server, ["s"])
+        _, frames = gateway_channel(server, ["x1", "x2", "x3"])
         sends = [("x1",), ("x1", "x2", "x3"), ("x2",), ("x3", "x1"), ("x2", "x3"), ("x1",)]
-        # queue all but the last without a flush, so that one flush walks them all
-        for value, receivers in enumerate(sends[:-1]):
-            server.registry.dispatch(value_message("s", receivers, value))
-        sender.send(value_message("s", sends[-1], len(sends) - 1))
+        for value, receivers in enumerate(sends):
+            sender.send(value_message("s", receivers, value))
         for agent_id in ("x1", "x2", "x3"):
             expected = [v for v, receivers in enumerate(sends) if agent_id in receivers]
-            assert self.inbox(frames, agent_id) == expected
+            assert inbox(frames, agent_id) == expected
         assert server.counters["acl_out"] == len(sends)  # one channel: one frame each
-        assert server.registry.ready == {}
 
-    def test_late_channel_gets_held_messages_first_and_once(self):
+    def test_message_to_unregistered_agent_is_undeliverable_until_it_registers(self):
         server = GatewayServer()
-        sender, _ = self.channel(server, ["s"])
-        _, frames_x = self.channel(server, ["x1"])
-        late, frames_y = self.channel(server, ["y1"], register=False)
-        server.registry.register_agent("y1")  # known, but no channel yet
-        for value, receivers in enumerate([("x1", "y1"), ("y1",), ("y1", "x1")]):
-            sender.send(value_message("s", receivers, value))
-            # the receiver whose channel is up is not held back
-            assert self.inbox(frames_x, "x1") == [v for v in (0, 2) if v <= value]
-        assert frames_y == []
+        sender, frames_s = gateway_channel(server, ["s"])
+        late, frames_y = gateway_channel(server, ["y1"], register=False)
+        sender.send(value_message("s", ("y1",), 0))
+        assert [(m.stream, m.content["receiver"]) for m in frames_s] == [(UNDELIVERABLE_STREAM, "y1")]
         late.register(["y1"])
-        sender.send(value_message("s", ("x1", "y1"), 3))
-        sender.send(value_message("s", ("y1",), 4))
-        assert self.inbox(frames_y, "y1") == [0, 1, 2, 3, 4]
-        assert self.inbox(frames_x, "x1") == [0, 2, 3]
-        assert server.registry.ready == {}
+        sender.send(value_message("s", ("y1",), 1))
+        assert inbox(frames_y, "y1") == [1]  # the first message is not held for it
+        assert len(frames_s) == 1
+        assert server.counters == {"acl_in": 2, "acl_out": 2}
 
     def test_undeliverable_notice_keeps_its_place(self):
         server = GatewayServer()
-        sender, frames = self.channel(server, ["x1", "x2"])
+        sender, frames = gateway_channel(server, ["x1", "x2"])
         sender.send(value_message("x1", ("x2", "ghost", "x1"), 5))
-        assert self.inbox(frames, "x2") == [5]
-        assert self.inbox(frames, "x1") == [UNDELIVERABLE_STREAM, 5]
+        assert inbox(frames, "x2") == [5]
+        assert inbox(frames, "x1") == [UNDELIVERABLE_STREAM, 5]
+        assert server.counters["acl_out"] == 3
+        assert [(m.receivers, m.stream) for m in frames] == [
+            (("x2",), "S"), (("x1",), UNDELIVERABLE_STREAM), (("x1",), "S"),
+        ]
 
     def test_service_reply_through_deliver_is_grouped(self):
         server = GatewayServer()
         server.register_service(
             "fan", lambda message: [value_message("fan", ("x1", "y1", "x2"), 9)]
         )
-        sender, _ = self.channel(server, ["s"])
-        _, frames_x = self.channel(server, ["x1", "x2"])
-        _, frames_y = self.channel(server, ["y1"])
+        sender, _ = gateway_channel(server, ["s"])
+        _, frames_x = gateway_channel(server, ["x1", "x2"])
+        _, frames_y = gateway_channel(server, ["y1"])
         sender.send(value_message("s", ("fan",), 0))
         assert server.counters == {"acl_in": 1, "acl_out": 2}
         assert [m.receivers for m in frames_x] == [("x1", "x2")]
@@ -650,19 +617,18 @@ class TestGatewayFrames:
 
 class TestScriptedLoopGoldenLog:
     def test_deterministic_effect_log(self):
-        """Two agents behind a registry, scripted stimuli, hand-derived log."""
+        """Two agents behind a gateway, scripted stimuli, hand-derived log."""
         vent = Agent(vent_spec())
         light = Agent(light_spec(agent_id="e4.light"))
-        registry = GatewayRegistry()
-        registry.register_agent(vent.id)
-        registry.register_agent(light.id)
+        server = GatewayServer()
+        channels = {agent.id: gateway_channel(server, [agent.id]) for agent in (vent, light)}
 
         log: list[str] = []
 
         def run_step(agent, stimulus):
             for effect in agent.step(stimulus):
                 if isinstance(effect, OutboundAcl):
-                    registry.dispatch(effect.message)
+                    channels[agent.id][0].send(effect.message)
                     log.append(f"{agent.id} acl {effect.message.content['stream']}"
                                f" {effect.message.content['fields']}")
                 elif isinstance(effect, Actuation):
@@ -671,9 +637,12 @@ class TestScriptedLoopGoldenLog:
                     log.append(f"{agent.id} fog {effect.topic} {effect.stream} {effect.fields}")
 
         def drain_all():
-            # Fixed interleaving: agents in declaration order, FIFO queues.
+            # Fixed interleaving: agents in declaration order, frames in arrival order.
             for agent in (vent, light):
-                for message in registry.drain(agent.id):
+                frames = channels[agent.id][1]
+                received = frames[:]
+                frames.clear()
+                for message in received:
                     run_step(agent, message)
 
         run_step(vent, SensorSample("o2", 92, at=1000))

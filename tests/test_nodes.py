@@ -49,6 +49,20 @@ select a1.timestamp as timestamp, a1.floor as floor
 from pattern [(every a1 = ExternalLightByFloor(a1.count >= 4))]
 """
 
+# A 1 s batch grouped by floor, a filter on the floor it counts, and a 1 s
+# batch that never reads the floor.
+NULL_FLOOR_PATTERNS = [
+    '@Name("ByFloor") @Tag(name="domainName", value="fog") @Tag(name="target", value="fog") '
+    "insert into ByFloor select a1.floor as floor, count(a1.isOn) as count "
+    "from pattern [(every a1 = ExternalLight(a1.isOn = true))].win:time_batch(1 seconds) "
+    "group by a1.floor",
+    '@Name("HighFloor") @Tag(name="domainName", value="fog") @Tag(name="target", value="fog") '
+    "insert into HighFloor select a1.floor as floor from pattern [(every a1 = ByFloor(a1.floor > 2))]",
+    '@Name("PerSecond") @Tag(name="domainName", value="fog") @Tag(name="target", value="fog") '
+    "insert into PerSecond select count(a1.isOn) as count "
+    "from pattern [(every a1 = ExternalLight)].win:time_batch(1 seconds) group by a1.isOn",
+]
+
 
 def registry_with(*schemas) -> SchemaRegistry:
     return SchemaRegistry(list(schemas))
@@ -140,6 +154,32 @@ class TestFogRouting:
         fog.advance(600_000)  # a lagging caller must not crash the node
         assert fog.engine.clock.current == 700_000
         assert fog.dead_letters == []
+
+    def test_raising_boundary_dead_letters_and_later_boundaries_fire(self):
+        registry = registry_with(
+            EventSchema("ExternalLight", {"isOn": "boolean", "floor": "integer"})
+        )
+        broker = Broker()
+        fog = FogNode("f1", broker, registry, [parse_pattern(p) for p in NULL_FLOOR_PATTERNS])
+        _, fog_out_inbox = subscriber(broker, "peer", topics.fog_output("f1", "fog"))
+        publisher = attach_client(broker, "edge")
+
+        def second(start_ms, floor):
+            for at in range(start_ms, start_ms + 1000, 100):
+                event = Event("ExternalLight", {"isOn": True, "floor": floor}, at, "e1")
+                publisher.publish(topics.fog_input("f1"), encode_event(event, registry))
+
+        second(0, None)  # HighFloor compares the null floor at the boundary
+        fog.advance(1000)
+        assert [reason for reason, _ in fog.dead_letters] == [
+            "boundary at 1000 failed: cannot compare NoneType with int"
+        ]
+        assert fog_out_inbox == []
+        second(1000, 3)
+        fog.advance(2000)
+        streams = sorted(decode_event(payload, registry).stream for _, payload in fog_out_inbox)
+        assert streams == ["ByFloor", "HighFloor", "PerSecond"]
+        assert len(fog.dead_letters) == 1
 
     def test_extra_inputs_feed_the_engine(self):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}))
@@ -369,7 +409,8 @@ class TestEdgeNode:
 
     def test_six_agents_register_once_each_single_broker_session(self):
         registry, broker, fog, gateway, edge = self.build()
-        assert len(gateway.registry.queues) == 6
+        assert list(gateway.channels) == [f"e1.a{i}" for i in range(6)]
+        assert len(set(gateway.channels.values())) == 1  # all on the edge's one channel
         assert broker.session_count() == 1  # one broker session for the whole edge
 
     def test_one_gateway_frame_lands_in_each_named_mailbox_once(self):
