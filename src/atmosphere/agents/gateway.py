@@ -57,7 +57,8 @@ class GatewayServer:
 
         An unknown named receiver gets the sender an Undeliverable notice,
         sent between the frames for the receivers named before it and those
-        for the rest. A frame from an unregistered sender is dropped.
+        for the rest. A frame from an unregistered sender is dropped, and so
+        is a Register frame whose ``agents`` is not a list of agent ids.
         """
         if (
             message.receivers != BROADCAST
@@ -65,7 +66,11 @@ class GatewayServer:
             and message.stream == REGISTER_STREAM
         ):
             # Platform handshake, not agent traffic: not counted.
-            for agent_id in message.content.get("agents", []):
+            agents = message.content.get("agents", [])
+            if not isinstance(agents, list) or not all(isinstance(a, str) and a for a in agents):
+                logger.warning("dropping Register frame: agents %r are not agent ids", agents)
+                return
+            for agent_id in agents:
                 self.channels[agent_id] = channel
             return
         self.counters["acl_in"] += 1

@@ -1,10 +1,9 @@
-from .engine import Emission, Engine, EngineClock
+from .engine import Emission, Engine
 from .infer import check_predicate_types, infer_output_schema, register_output_schema
 from .oracle import oracle_replay
 
 __all__ = [
     "Engine",
-    "EngineClock",
     "Emission",
     "oracle_replay",
     "infer_output_schema",

@@ -48,11 +48,6 @@ from ..patterns import (
 from .infer import check_predicate_types, register_output_schema
 
 
-@dataclass
-class EngineClock:
-    current: int = 0
-
-
 @dataclass(frozen=True)
 class Emission:
     event: Event
@@ -342,13 +337,13 @@ class _Deployed:
 
 
 class Engine:
-    """Pattern host for one fog or cloud node; ``wall_clock``, when given,
-    stamps each arrival (processing time)."""
+    """Pattern host for one fog or cloud node; ``now_ms`` is its time, and
+    ``wall_clock``, when given, stamps each arrival (processing time)."""
 
     def __init__(self, node_id: str, registry: SchemaRegistry, wall_clock=None):
         self.node_id = node_id
         self.registry = registry
-        self.clock = EngineClock()
+        self.now_ms = 0
         self._wall_clock = wall_clock
         self._deployed: list[_Deployed] = []
         self._by_name: dict[str, _Deployed] = {}
@@ -398,7 +393,7 @@ class Engine:
             pattern,
             self.registry,
             topo=len(self._deployed),
-            now_ms=self.clock.current,
+            now_ms=self.now_ms,
         )
         self._deployed.append(deployed)
         self._by_name[pattern.name] = deployed
@@ -430,13 +425,13 @@ class Engine:
 
     def advance_clock(self, to_ms: int) -> list[Emission]:
         """Fire every batch boundary up to ``to_ms`` and move the clock there."""
-        if to_ms < self.clock.current:
+        if to_ms < self.now_ms:
             raise TimeRegressionError(
-                f"cannot advance from {self.clock.current} back to {to_ms}"
+                f"cannot advance from {self.now_ms} back to {to_ms}"
             )
         out: list[Emission] = []
         self._advance_to(to_ms, out)
-        self.clock.current = max(self.clock.current, to_ms)
+        self.now_ms = max(self.now_ms, to_ms)
         return out
 
     def ingest(self, event: Event) -> list[Emission]:
@@ -445,16 +440,16 @@ class Engine:
             raise UnknownStreamError(event.stream)
         if self._wall_clock is None:
             ts = event.timestamp
-            if ts < self.clock.current:
+            if ts < self.now_ms:
                 raise TimeRegressionError(
-                    f"event at {ts} behind engine clock {self.clock.current}"
+                    f"event at {ts} behind engine clock {self.now_ms}"
                 )
         else:
-            ts = max(self.clock.current, self._wall_clock())
+            ts = max(self.now_ms, self._wall_clock())
         self._ingest_count += 1
         out: list[Emission] = []
         self._advance_to(ts, out)
-        self.clock.current = ts
+        self.now_ms = ts
         if ts == self._instant_ts:
             self._raw_phase += 1
         else:
@@ -480,7 +475,7 @@ class Engine:
             if due_time is None:
                 return
             self._fire_boundary_phase(due_time, out)
-            self.clock.current = max(self.clock.current, due_time)
+            self.now_ms = max(self.now_ms, due_time)
 
     def _fire_boundary_phase(self, t: int, out: list[Emission]) -> None:
         inboxes: dict[int, list[Event]] = {}

@@ -82,8 +82,8 @@ def broker(host, port):
     from .mqtt import Broker
     from .transport import Loop, TcpServer, every
 
-    core = Broker()
     loop = Loop()
+    core = Broker(clock=loop.clock)
     try:
         server = TcpServer(host, port, core.attach, loop)
     except AtmosphereError as exc:
@@ -92,7 +92,7 @@ def broker(host, port):
     signals = []
     for signum in (signal.SIGINT, signal.SIGTERM):
         signal.signal(signum, lambda signum, frame: signals.append(signum))
-    loop.start(every(0.2, core.tick))
+    loop.start(every(loop.clock, 200, core.tick))
     try:
         loop.run_until(lambda: signals)
     finally:

@@ -66,8 +66,7 @@ def _host(config: ScenarioConfig, run: RunDefaults, rate_override, placement, po
 
     The core hands its ports over as soon as it serves them.
     """
-    clock = runner.WallClock()
-    deployment = runner.Deployment(config, run, clock, "tcp", placement)
+    deployment = runner.Deployment(config, run, placement)
     if placement.core:
         ports_q.put(deployment.ports)
     reports_q.put(runner.drive(deployment, rate_override, peers))

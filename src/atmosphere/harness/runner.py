@@ -2,27 +2,32 @@
 simulators and agent timers, measures round trips, and produces a
 :class:`RunReport`.
 
-One builder, :class:`Deployment`, wires the nodes over links of one kind:
-``sync`` (synchronous, in-process), ``queue`` (in-process, queued on one
-loop) or ``tcp`` (local sockets on that loop, for a run split over OS
-processes, see :mod:`.procs`). Its :class:`Placement` says which nodes this
-process hosts: the core tier (broker, gateways, fogs, clouds, user node and
-feeder) and which edges; by default, everything.
+One builder, :class:`Deployment`, makes the process's one clock and wires
+the nodes over links of one kind, both derived from the run and the
+placement: ``sync`` (synchronous, in-process) in event time, ``queue``
+(in-process, queued on one loop) in processing time, or ``tcp`` (local
+sockets on that loop) when its :class:`Placement` hosts only part of the
+deployment, in a run split over OS processes (see :mod:`.procs`). The
+placement says which nodes this process hosts: the core tier (broker,
+gateways, fogs, clouds, user node and feeder) and which edges; by default,
+everything.
 
 One driver, :func:`drive`, runs a deployment's tasks on its loop: the
 engines' window boundaries, then the timeline, each simulator and each
-edge's agent timers, generators that yield when they are next due, and the
-QoS 1 re-sends. Ties run in start order; the edges are pumped after every
-turn. No input due after the duration applies, and one that raises an
-:class:`AtmosphereError` is logged and ends there.
+edge's agent timers, generators that yield the ms of the clock they are
+next due at, and the QoS 1 re-sends. Ties run in start order; the edges are
+pumped after every turn. No input due after the duration applies, and one
+that raises an :class:`AtmosphereError` is logged and ends there. The loop,
+the tasks and the nodes all read the one clock, counted in ms from the
+run's start:
 
-* ``event_time``: sync links, the loop on a virtual clock (a
-  :class:`LogicalClock`). Byte-identical output for a given seed; used for
+* ``event_time``: a :class:`LogicalClock`, which the loop moves to the next
+  timer, and sync links. Byte-identical output for a given seed; used for
   all correctness runs.
-* ``processing_time``: queued (or tcp) links on the wall clock, plus a CPU
-  sample; the benches, in one process or in each of a split run. Latency
-  is measured on the edge from a send's due time to the return of the
-  matching complex event.
+* ``processing_time``: a :class:`WallClock`, whose timers the loop waits
+  for, queued (or tcp) links, plus a CPU sample; the benches, in one process
+  or in each of a split run. Latency is measured on the edge from a send's
+  due time to the return of the matching complex event.
 
 The bench convention: every simulator event carries a ``rid`` field, the fog
 echoes it back on the edge output topic, and the edge records the round trip.
@@ -36,22 +41,22 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..agents import AclMessage, GatewayClient, GatewayServer, parse_agent_spec
 from ..errors import AtmosphereError, ConfigError
 from ..events import Event, encode_event
 from ..mqtt import Broker, MqttClient
 from ..nodes import CloudNode, EdgeNode, FogNode, UserNode, topics
-from ..transport import Loop, TcpServer, connect_tcp, every, make_queue_pair
+from ..transport import LogicalClock, Loop, TcpServer, WallClock, connect_tcp, every, make_queue_pair
 from .config import RunDefaults, ScenarioConfig
 from .generators import EventFactory, emission_times_ms
 from .metrics import MetricsSink, RunReport
 
 logger = logging.getLogger(__name__)
 
-SATURATION_LAG_S = 0.1  # a send this late falls in the paper's top latency bucket
-SATURATION_HOLD_S = 5.0
+SATURATION_LAG_MS = 100  # a send this late falls in the paper's top latency bucket
+SATURATION_HOLD_MS = 5000
 DRAIN_S = 10.0
 ECHO_SERVICE = "echo"
 SINK_SERVICE = "svc"
@@ -70,39 +75,11 @@ class RunOverrides:
 
 
 def resolve_run(config: ScenarioConfig, overrides: RunOverrides | None) -> RunDefaults:
-    run = config.run
+    """The scenario's run settings with the overrides that are set (all but ``rate``)."""
     if overrides is None:
-        return run
-    return RunDefaults(
-        duration_s=overrides.duration_s if overrides.duration_s is not None else run.duration_s,
-        qos=overrides.qos if overrides.qos is not None else run.qos,
-        mode=overrides.mode if overrides.mode is not None else run.mode,
-        clock=overrides.clock if overrides.clock is not None else run.clock,
-        seed=overrides.seed if overrides.seed is not None else run.seed,
-        warmup_s=overrides.warmup_s if overrides.warmup_s is not None else run.warmup_s,
-    )
-
-
-class LogicalClock:
-    def __init__(self):
-        self.now = 0
-
-    def __call__(self) -> int:
-        return self.now
-
-    def set(self, at_ms: int) -> None:
-        if at_ms > self.now:
-            self.now = at_ms
-
-
-class WallClock:
-    """Whole milliseconds since ``start``, the processing-time origin."""
-
-    def __init__(self):
-        self.start = time.monotonic()
-
-    def __call__(self) -> int:
-        return int((time.monotonic() - self.start) * 1000)
+        return config.run
+    return replace(config.run, **{name: value for name, value in vars(overrides).items()
+                                  if value is not None and name != "rate"})
 
 
 @dataclass(frozen=True)
@@ -134,20 +111,23 @@ def _probe_spec(edge_id: str):
 
 class Deployment:
     """The nodes of one scenario that ``placement`` puts in this process,
-    wired to one broker and per-fog gateways by links of kind ``link``
-    (``sync``, ``queue`` or ``tcp``); all but sync links run on ``loop``,
-    whose clock is ``clock`` in event time and the wall clock otherwise."""
+    wired to one broker and per-fog gateways, all on one ``clock`` that
+    ``loop`` counts on: a :class:`LogicalClock` and ``sync`` links in event
+    time, a :class:`WallClock` and ``queue`` links on ``loop`` in processing
+    time, and ``tcp`` links on ``loop`` for a placement of part of the
+    deployment."""
 
-    def __init__(self, config: ScenarioConfig, run: RunDefaults, clock, link: str,
+    def __init__(self, config: ScenarioConfig, run: RunDefaults,
                  placement: Placement = Placement()):
+        # first, so that sends are due from before the build
+        self.clock = clock = LogicalClock() if run.clock == "event_time" else WallClock()
+        event_time = isinstance(clock, LogicalClock)
         self.config = config
         self.run = run
-        self.clock = clock
-        self.link = link
+        self.link = link = "tcp" if placement != Placement() else "sync" if event_time else "queue"
         self.placement = placement
         self.registry = config.build_registry()
-        event_time = run.clock == "event_time"
-        self.loop = Loop(clock if event_time else None)
+        self.loop = Loop(clock)
         # under tcp, where the core serves: {"broker": port, "gateways": {fog: port}}
         self.ports = placement.core_ports
         wall = None if event_time else clock  # the engines stamp arrivals with it
@@ -358,39 +338,37 @@ def run_scenario(
         from .procs import run_in_processes
 
         return run_in_processes(config, run, rate_override)
-    # a wall clock's origin precedes the build: sends are due from it
-    clock, link = (LogicalClock(), "sync") if run.clock == "event_time" else (WallClock(), "queue")
-    return drive(Deployment(config, run, clock, link), rate_override)
+    return drive(Deployment(config, run), rate_override)
 
 
 # -- the run's tasks ----------------------------------------------------------------
 
 
-def _tasks(deployment: Deployment, sink: MetricsSink, rate_override, due) -> list:
+def _tasks(deployment: Deployment, sink: MetricsSink, rate_override) -> list:
     """The run's tasks in rank order: the engine boundaries first, so that a
     boundary runs before the inputs due in its ms, the timeline, one per
     hosted simulator and, in full mode, one per hosted edge for its agent
-    timers. Each yields ``due(at_ms)`` when next due, ``at_ms`` an offset
-    from the run's start. Simulator i numbers its round trips on from the
-    rid-bearing sends of the simulators before it, so every placement gives
-    the same ids."""
+    timers. Each yields the ms of the deployment's clock it is next due at,
+    an offset from the run's start. Simulator i numbers its round trips on
+    from the rid-bearing sends of the simulators before it, so every
+    placement gives the same ids."""
     config, run = deployment.config, deployment.run
     duration_ms = int(run.duration_s * 1000)
-    tasks = [_engine_boundaries(deployment, due, duration_ms), _timeline(deployment, due, duration_ms)]
+    tasks = [_engine_boundaries(deployment, duration_ms), _timeline(deployment, duration_ms)]
     rid = 0
     for index, sim in enumerate(config.simulators):
         rate = rate_override if rate_override is not None else sim.rate
         if sim.edge in deployment.edges:
             seed = run.seed * 1000 + sim.seed + index
-            tasks.append(_simulate(deployment, sink, sim, seed, rate, rid, due))
+            tasks.append(_simulate(deployment, sink, sim, seed, rate, rid))
         if "rid" in sim.generators:
             rid += int(rate * run.duration_s)  # the length of its emission_times_ms
     if run.mode == "full":  # timer rules fire in full-architecture runs only
-        tasks += [_agent_timers(deployment, edge, due, duration_ms) for edge in deployment.edges.values()]
+        tasks += [_agent_timers(deployment, edge, duration_ms) for edge in deployment.edges.values()]
     return tasks
 
 
-def _engine_boundaries(deployment: Deployment, due, duration_ms: int):
+def _engine_boundaries(deployment: Deployment, duration_ms: int):
     """The engines' window boundaries up to the run's duration, earliest
     first. Every engine advances to each in turn, so that boundaries fire in
     time order across nodes and an emission crossing nodes (cloud -> fog,
@@ -402,17 +380,17 @@ def _engine_boundaries(deployment: Deployment, due, duration_ms: int):
         at_ms = min((b for b in boundaries if b is not None), default=None)
         if at_ms is None or at_ms > duration_ms:
             return
-        yield due(at_ms)
+        yield at_ms
         for node in nodes:
             node.advance(at_ms)
 
 
-def _timeline(deployment: Deployment, due, duration_ms: int):
+def _timeline(deployment: Deployment, duration_ms: int):
     """The scripted timeline's entries, up to the run's duration."""
     for entry in deployment.config.timeline:  # sorted by at_ms
         if entry.at_ms > duration_ms:
             return
-        yield due(entry.at_ms)
+        yield entry.at_ms
         data = entry.data
         if entry.kind == "sensor":
             edge = deployment.edges[data["edge"]]
@@ -427,11 +405,11 @@ def _timeline(deployment: Deployment, due, duration_ms: int):
 
 
 def _simulate(deployment: Deployment, sink: MetricsSink, sim, seed: int, rate: float,
-              rid: int, due):
+              rid: int):
     """One simulator's sends at ``rate``, its round trips numbered from ``rid`` + 1."""
     factory = EventFactory(sim.generators, seed=seed)
     for at_ms in emission_times_ms(rate, deployment.run.duration_s):
-        yield due(at_ms)
+        yield at_ms
         fields = factory.next_fields()
         if "rid" in fields:
             rid += 1
@@ -439,23 +417,23 @@ def _simulate(deployment: Deployment, sink: MetricsSink, sim, seed: int, rate: f
         _emit_probe(deployment, sink, sim.edge, sim.stream, fields, at_ms)
 
 
-def _agent_timers(deployment: Deployment, edge: EdgeNode, due, duration_ms: int):
+def _agent_timers(deployment: Deployment, edge: EdgeNode, duration_ms: int):
     """``edge``'s timer rules, one fire per resume, counted from the run's
     start up to its duration. With no timer due by then the task waits for
     the duration, and a rule update that starts a timer sooner resumes it
     then (``EdgeNode.on_timer``)."""
     loop, rank = deployment.loop, deployment.loop.running
-    edge.on_timer = lambda at_ms: loop.wake(rank, due(at_ms))
+    edge.on_timer = lambda at_ms: loop.wake(rank, at_ms)
     at_ms = edge.start_timers(0)
     while True:
-        yield due(duration_ms if at_ms is None else min(at_ms, duration_ms))
+        yield duration_ms if at_ms is None else min(at_ms, duration_ms)
         now_ms = min(deployment.clock(), duration_ms)
         at_ms = edge.tick_timers(now_ms)
         if now_ms == duration_ms and (at_ms is None or at_ms > duration_ms):
             return
 
 
-def _resends(deployment: Deployment, due, duration_ms: int):
+def _resends(deployment: Deployment, duration_ms: int):
     """The broker's and hosted clients' QoS 1 re-sends at their due times; an
     entry due sooner wakes the task (``on_resend``). With nothing in flight
     it waits for the duration, and past the duration it ends."""
@@ -467,12 +445,12 @@ def _resends(deployment: Deployment, due, duration_ms: int):
         nonlocal at_ms
         if due_ms < at_ms:
             at_ms = due_ms
-            loop.wake(rank, due(due_ms))
+            loop.wake(rank, due_ms)
 
     for owner in owners:
         owner.on_resend = on_resend
     while True:
-        yield due(at_ms)
+        yield at_ms
         now_ms = deployment.clock()
         at_ms = duration_ms if now_ms < duration_ms else float("inf")  # on_resend may lower it
         dues = [owner.tick(now_ms) for owner in owners]
@@ -559,34 +537,30 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
     ``peers.drained()`` the loop runs on until ``peers.stop`` is set.
     """
     run, clock, loop = deployment.run, deployment.clock, deployment.loop
-    virtual = loop.clock is not None
+    virtual = run.clock == "event_time"
     sink = MetricsSink(run.qos, run.mode)
     cpu_samples: list[tuple[int, str, float]] = []
     saturated = False
-    late_at = None  # the first of the latest resumes in a row over SATURATION_LAG_S late
+    late_at = None  # the first of the latest resumes in a row over SATURATION_LAG_MS late
     sending = 0  # tasks not yet ended
-
-    def due(at_ms: int):
-        # on the wall clock, from the exact run start: ``clock()`` truncates to whole ms
-        return at_ms if virtual else clock.start + at_ms / 1000.0
 
     def awaited(task):
         """``task``, counted in ``sending`` until it ends; saturation or a
         failed input ends it early. On the wall clock, the run is saturated
-        once every resume for ``SATURATION_HOLD_S`` came over
-        ``SATURATION_LAG_S`` after its due time."""
+        once every resume for ``SATURATION_HOLD_MS`` came over
+        ``SATURATION_LAG_MS`` after its due time."""
         nonlocal sending, saturated, late_at
         sending += 1
         try:
             for at in task:
                 yield at
                 if not virtual:
-                    now = time.monotonic()
-                    if now - at <= SATURATION_LAG_S:
+                    now = clock.now
+                    if now - at <= SATURATION_LAG_MS:
                         late_at = None
                     elif late_at is None:
                         late_at = now
-                    elif now - late_at > SATURATION_HOLD_S:
+                    elif now - late_at > SATURATION_HOLD_MS:
                         saturated = True
                 if saturated:
                     break
@@ -597,12 +571,12 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
 
     def sample_cpu():
         # process CPU time over wall time, in percent of one core
-        wall, cpu = time.monotonic(), time.process_time()
+        wall, cpu = clock.now, time.process_time()
         while True:
-            yield wall + 0.5
-            last_wall, last_cpu, wall, cpu = wall, cpu, time.monotonic(), time.process_time()
+            yield wall + 500
+            last_wall, last_cpu, wall, cpu = wall, cpu, clock.now, time.process_time()
             cpu_samples.append((clock(), deployment.placement.label,
-                                100.0 * (cpu - last_cpu) / (wall - last_wall)))
+                                100.0 * (cpu - last_cpu) / ((wall - last_wall) / 1000)))
 
     def on_event(topic, event):  # a round trip's echo reached its edge
         rid = event.fields.get("rid")
@@ -628,16 +602,16 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
         for edge in deployment.edges.values():
             edge.on_event, edge.on_acl = on_event, on_acl
         loop.after_turn = deployment.pump_edges  # it skips edges nothing has flagged
-        for task in _tasks(deployment, sink, rate_override, due):
+        for task in _tasks(deployment, sink, rate_override):
             loop.start(awaited(task))
-        loop.start(_resends(deployment, due, int(run.duration_s * 1000)))
+        loop.start(_resends(deployment, int(run.duration_s * 1000)))
         if not virtual:
             loop.start(sample_cpu())
         loop.run_until(lambda: not sending or saturated, run.duration_s + 6.0)
         loop.run_until(drained, DRAIN_S)
         if peers is not None:
             peers.drained()
-            loop.start(every(0.05, lambda: None))  # a turn every 50 ms, to see the stop
+            loop.start(every(clock, 50, lambda: None))  # a turn every 50 ms, to see the stop
             loop.run_until(peers.stop.is_set)
             loop.run_until(drained, DRAIN_S)
     finally:

@@ -20,13 +20,12 @@ match: attach, CONNECT, SUBSCRIBE, internal subscribe and drop.
 from __future__ import annotations
 
 import logging
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import AtmosphereError, MqttProtocolError
-from ..transport import Endpoint
+from ..transport import Endpoint, WallClock
 from .packets import (
     ConnAck,
     Connect,
@@ -50,10 +49,6 @@ DEFAULT_RETRY_TIMEOUT_MS = 1000
 DEFAULT_MAX_RETRIES = 5
 # Most topics the route cache holds; a miss that would exceed it empties it.
 ROUTE_CACHE_SIZE = 1024
-
-
-def wall_clock_ms() -> int:
-    return int(time.monotonic() * 1000)
 
 
 @dataclass
@@ -136,12 +131,12 @@ class Broker:
 
     def __init__(
         self,
-        clock: Callable[[], int] = wall_clock_ms,
+        clock: Callable[[], int] | None = None,
         retry_timeout_ms: int = DEFAULT_RETRY_TIMEOUT_MS,
         max_retries: int = DEFAULT_MAX_RETRIES,
         connect_hook: Callable[[str], bool] | None = None,
     ):
-        self._clock = clock
+        self._clock = WallClock() if clock is None else clock
         self.retry_timeout_ms = retry_timeout_ms
         self.max_retries = max_retries
         # Security hook stub: return False to refuse a client id. Transport

@@ -14,13 +14,8 @@ import logging
 from typing import Callable
 
 from ..errors import AtmosphereError, TransportError
-from ..transport import Endpoint
-from .broker import (
-    DEFAULT_MAX_RETRIES,
-    DEFAULT_RETRY_TIMEOUT_MS,
-    Inflight,
-    wall_clock_ms,
-)
+from ..transport import Endpoint, WallClock
+from .broker import DEFAULT_MAX_RETRIES, DEFAULT_RETRY_TIMEOUT_MS, Inflight
 from .packets import (
     ConnAck,
     Connect,
@@ -40,12 +35,12 @@ class MqttClient:
     def __init__(
         self,
         client_id: str,
-        clock: Callable[[], int] = wall_clock_ms,
+        clock: Callable[[], int] | None = None,
         retry_timeout_ms: int = DEFAULT_RETRY_TIMEOUT_MS,
         max_retries: int = DEFAULT_MAX_RETRIES,
     ):
         self.client_id = client_id
-        self._clock = clock
+        self._clock = WallClock() if clock is None else clock
         self.retry_timeout_ms = retry_timeout_ms
         self.max_retries = max_retries
         self._endpoint: Endpoint | None = None

@@ -137,7 +137,7 @@ class EdgeNode:
             return  # user-bound notices are not for the edge
         agent_id = doc.get("agent")
         rule_doc = doc.get("rule")
-        if agent_id in self.agents and isinstance(rule_doc, dict):
+        if isinstance(agent_id, str) and agent_id in self.agents and isinstance(rule_doc, dict):
             self.mailboxes[agent_id].append(_RuleUpdate(agent_id, rule_doc))
             self.has_work = True
 

@@ -30,7 +30,7 @@ class EngineHost:
     def advance(self, to_ms: int) -> None:
         # a wall-clock reading captured before an ingest stamped a newer
         # time must not read as a regression
-        to_ms = max(to_ms, self.engine.clock.current)
+        to_ms = max(to_ms, self.engine.now_ms)
         try:
             emissions = self.engine.advance_clock(to_ms)
         except AtmosphereError as exc:

@@ -1,4 +1,5 @@
-"""Byte-stream links between nodes, and the loop that runs them.
+"""Byte-stream links between nodes, the loop that runs them, and the
+process's one clock.
 
 Three interchangeable flavors carry the same traffic:
 
@@ -8,6 +9,12 @@ Three interchangeable flavors carry the same traffic:
 * :func:`make_queue_pair`: in-process, queued on a :class:`Loop`; used by
   the wall-clock benchmark harness so latency includes real queueing.
 * :class:`TcpServer` / :func:`connect_tcp`: plain TCP on a :class:`Loop`.
+
+A process counts time on one clock, in milliseconds: a :class:`LogicalClock`
+in event time, which stands still until the loop moves it to its next
+timer, or a :class:`WallClock` in processing time, the milliseconds since
+its start. The loop keys its timers in that clock's ms, and the tasks and
+nodes read the same clock.
 
 Nothing in the package is thread-safe, these endpoints included: each
 process runs every node it hosts, and their links, on one thread.
@@ -37,13 +44,42 @@ Receiver = Callable[[bytes], None]
 CONNECT_ATTEMPTS = 5
 
 
+class LogicalClock:
+    """Virtual milliseconds: ``now`` moves only when set, and never back."""
+
+    def __init__(self):
+        self.now = 0
+
+    def __call__(self) -> int:
+        return self.now
+
+    def set(self, at_ms: int) -> None:
+        if at_ms > self.now:
+            self.now = at_ms
+
+
+class WallClock:
+    """Milliseconds of the wall since ``start``, a ``time.monotonic()``:
+    ``now`` is exact, a call returns whole ms."""
+
+    def __init__(self):
+        self.start = time.monotonic()
+
+    @property
+    def now(self) -> float:
+        return (time.monotonic() - self.start) * 1000
+
+    def __call__(self) -> int:
+        return int(self.now)
+
+
 class Loop:
     """One process's scheduler: a ready deque of ``(endpoint, bytes)``
     deliveries, a timer heap and one selector, all run by :meth:`run_until`
     on the calling thread; ``after_turn`` runs after each turn. A timer is a
-    task: a generator that yields the time it next runs at: a
-    ``time.monotonic()`` or, given a virtual ``clock`` (``now``, ``set(t)``),
-    a time of that clock, which a turn moves to the next timer, never waiting.
+    task: a generator that yields the ms of ``clock`` it next runs at. A
+    :class:`LogicalClock` moves to the next timer, never waiting; without a
+    clock, the loop counts on a :class:`WallClock` of its own.
 
     The selector is a ``SelectSelector`` on purpose: epoll rounds its timeout
     up to a whole millisecond, a lag every timed send would carry. With no
@@ -51,7 +87,7 @@ class Loop:
     """
 
     def __init__(self, clock=None):
-        self.clock = clock
+        self.clock = WallClock() if clock is None else clock
         self.ready: deque = deque()
         self.selector = selectors.SelectSelector()
         self.after_turn: Callable[[], None] = lambda: None
@@ -80,30 +116,30 @@ class Loop:
 
     def run_until(self, done: Callable[[], bool], timeout_s: float | None = None) -> bool:
         """Run turns until ``done()`` holds; false if ``timeout_s`` passes
-        first or, on a virtual clock (no timeout there), once nothing is left.
+        first or, on a logical clock (no timeout there), once nothing is left.
 
         A turn waits for socket events until the next timer or the deadline
         is due, or only polls while deliveries are queued or the clock is
-        virtual, which moves to the next timer unless deliveries are queued.
+        logical, which moves to the next timer unless deliveries are queued.
         Then it runs the deliveries queued by then and the earliest timer
         due by then (ties in start order): a timer that yields a time
         already past runs on a later turn.
         """
-        clock = self.clock  # None on the wall clock
-        virtual = clock is not None
-        deadline = math.inf if timeout_s is None or virtual else time.monotonic() + timeout_s
+        clock = self.clock
+        virtual = isinstance(clock, LogicalClock)
+        deadline = math.inf if timeout_s is None or virtual else clock.now + timeout_s * 1000
         ready, timers = self.ready, self._timers
         while not done():
             if virtual and not ready:
                 if not timers:
                     return False
                 clock.set(timers[0][0])
-            now = time.monotonic()
+            now = clock.now
             if now >= deadline:
                 return False
             wait = 0.0 if ready or virtual else min(timers[0][0] if timers else math.inf, deadline) - now
             if wait > 0.0 or self.selector.get_map():
-                for key, events in self.selector.select(None if wait == math.inf else max(wait, 0.0)):
+                for key, events in self.selector.select(None if wait == math.inf else max(wait, 0.0) / 1000):
                     if events & selectors.EVENT_WRITE:
                         key.data.on_writable()
                     if events & selectors.EVENT_READ:
@@ -114,7 +150,7 @@ class Loop:
                     endpoint._deliver(data)
                 except Exception:
                     logger.exception("receiver for %s raised", endpoint.name)
-            if timers and timers[0][0] <= (clock.now if virtual else time.monotonic()):
+            if timers and timers[0][0] <= clock.now:
                 _, rank, task = heapq.heappop(timers)
                 self._resume(rank, task)
             self.after_turn()
@@ -127,10 +163,11 @@ class Loop:
         self.selector.close()
 
 
-def every(period_s: float, callback: Callable[[], None]) -> Iterator[float]:
-    """A task that runs ``callback`` each time ``period_s`` has passed since its last run."""
+def every(clock, period_ms: float, callback: Callable[[], None]) -> Iterator[float]:
+    """A task that runs ``callback`` each time ``period_ms`` of ``clock``
+    have passed since its last run."""
     while True:
-        yield time.monotonic() + period_s
+        yield clock.now + period_ms
         callback()
 
 

@@ -18,7 +18,7 @@ from atmosphere.agents import Actuation
 from atmosphere.cep import Engine, oracle_replay
 from atmosphere.events import Event, EventSchema, SchemaRegistry
 from atmosphere.harness import RunOverrides, bucketize, load_scenario, run_scenario
-from atmosphere.harness.runner import Deployment, LogicalClock, resolve_run
+from atmosphere.harness.runner import Deployment, resolve_run
 from atmosphere.mqtt import MqttClient, decode_packet, encode_packet
 from atmosphere.mqtt.broker import Broker
 from atmosphere.patterns import Duration, parse_pattern, print_pattern
@@ -107,8 +107,8 @@ def test_criterion_3_hospital_end_to_end():
         config = load_scenario(SCENARIOS / "hospital.json")
 
         # (a) threshold behavior, observed on a live deployment
-        clock = LogicalClock()
-        deployment = Deployment(config, resolve_run(config, None), clock, link="sync")
+        deployment = Deployment(config, resolve_run(config, None))
+        clock = deployment.clock
         try:
             edge = deployment.edges["r301"]
             fog = deployment.fogs["f1"]
@@ -286,8 +286,8 @@ def test_criterion_8_ablations():
 def test_criterion_9_user_bridge_isolation():
     with criterion(9, "user-bridge-isolation", budget_s=30.0):
         config = load_scenario(SCENARIOS / "hospital.json")
-        clock = LogicalClock()
-        deployment = Deployment(config, resolve_run(config, None), clock, link="sync")
+        deployment = Deployment(config, resolve_run(config, None))
+        clock = deployment.clock
         try:
             fog = deployment.fogs["f1"]
             user = deployment.user

@@ -11,10 +11,12 @@ from atmosphere.agents import (
     Actuation,
     BROADCAST,
     FogPublish,
+    GATEWAY_ADDRESS,
     GatewayClient,
     GatewayServer,
     LogLine,
     OutboundAcl,
+    REGISTER_STREAM,
     RuleError,
     SensorSample,
     StateChange,
@@ -510,6 +512,23 @@ class TestGatewayChannels:
         b_server.send(chunk)  # into the client
         assert inbox_b == [first, second, first, second]
         assert client_b.counters["acl_received"] == 4
+
+    @pytest.mark.parametrize("agents", [[["x"]], 5, "ab", [None], [""], None])
+    def test_register_frame_without_agent_ids_is_dropped(self, agents, caplog):
+        """A bad Register is dropped with a warning; the good one after it in
+        the same read registers ``x1`` alone."""
+        server = GatewayServer()
+        client_end, server_end = make_sync_pair()
+        server.attach_channel(server_end)
+
+        def register(agent_ids):
+            content = {"stream": REGISTER_STREAM, "agents": agent_ids}
+            return encode_acl(AclMessage("REQUEST", "edge-x", (GATEWAY_ADDRESS,), content, 0))
+
+        client_end.send(register(agents) + register(["x1"]))
+        assert list(server.channels) == ["x1"]
+        assert server.counters == {"acl_in": 0, "acl_out": 0}
+        assert "dropping Register frame" in caplog.text
 
 
 def value_message(sender, receivers, value):

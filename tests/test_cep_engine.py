@@ -272,13 +272,13 @@ class TestClock:
 
     def test_clock_monotone_over_mixed_calls(self):
         engine = make_engine(["ExternalLightByFloor"])
-        seen = [engine.clock.current]
+        seen = [engine.now_ms]
         engine.ingest(ext_light(100))
-        seen.append(engine.clock.current)
+        seen.append(engine.now_ms)
         engine.advance_clock(20 * MINUTE)
-        seen.append(engine.clock.current)
+        seen.append(engine.now_ms)
         engine.ingest(ext_light(21 * MINUTE))
-        seen.append(engine.clock.current)
+        seen.append(engine.now_ms)
         assert seen == sorted(seen)
 
     def test_unknown_stream_rejected(self):
@@ -302,7 +302,7 @@ class TestProcessingTimeMode:
         engine.deploy(parse_pattern(LISTING_TEXTS["ExternalLightByFloor"]))
         # the event's own timestamp is ignored for windowing in this mode
         engine.ingest(ext_light(999_999_999, floor=1))
-        assert engine.clock.current == 5_000
+        assert engine.now_ms == 5_000
         wall[0] = 90_000
         engine.ingest(ext_light(0, floor=1))
         wall[0] = 11 * MINUTE
@@ -319,7 +319,7 @@ class TestProcessingTimeMode:
         engine.ingest(ext_light(0))
         wall[0] = 4_000  # a stale reading must not move the clock backwards
         engine.ingest(ext_light(0))
-        assert engine.clock.current == 10_000
+        assert engine.now_ms == 10_000
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import shutil
 import time
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from atmosphere.harness import runner as runner_mod
 from atmosphere.harness.generators import emission_times_ms
 from atmosphere.mqtt import MqttClient
 from atmosphere.nodes import EdgeNode
+from atmosphere.transport import LogicalClock, WallClock
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -318,8 +320,8 @@ class TestBenchRuns:
     def test_saturation_by_send_lag(self, bench, monkeypatch):
         """Every resume counts as late: the second input ends the run; send
         lag is the only saturation signal."""
-        monkeypatch.setattr(runner_mod, "SATURATION_LAG_S", -1.0)
-        monkeypatch.setattr(runner_mod, "SATURATION_HOLD_S", 0.0)
+        monkeypatch.setattr(runner_mod, "SATURATION_LAG_MS", -1)
+        monkeypatch.setattr(runner_mod, "SATURATION_HOLD_MS", 0)
         report = self.run_bench(bench, qos=0, duration_s=1)
         assert report.saturated is True
         assert report.round_trips["initiated"] < 40
@@ -627,11 +629,55 @@ class TestHospitalRun:
         assert alerts[0]["stream"] == "SurveillanceUnit"
 
 
+class TestOneClock:
+    """A deployment makes its clock and its links from the run and the placement."""
+
+    @staticmethod
+    def link_ends(deployment) -> list:
+        ends = [client._endpoint for client in deployment.clients]
+        ends += [edge.gateway_client._endpoint for edge in deployment.edges.values()
+                 if edge.gateway_client is not None]
+        assert ends
+        return ends
+
+    def test_event_time_deployment_holds_a_logical_clock_and_sync_links(self, hospital):
+        deployment = runner_mod.Deployment(hospital, runner_mod.resolve_run(hospital, None))
+        try:
+            assert isinstance(deployment.clock, LogicalClock)
+            assert deployment.loop.clock is deployment.clock
+            assert all(end.loop is None for end in self.link_ends(deployment))
+        finally:
+            deployment.close()
+
+    def test_processing_time_deployment_holds_a_wall_clock_and_queued_links(self, bench):
+        run = runner_mod.resolve_run(bench, RunOverrides(clock="processing_time"))
+        deployment = runner_mod.Deployment(bench, run)
+        try:
+            assert isinstance(deployment.clock, WallClock)
+            assert deployment.loop.clock is deployment.clock
+            assert all(end.loop is deployment.loop for end in self.link_ends(deployment))
+        finally:
+            deployment.close()
+
+    def test_rule_update_naming_a_non_string_agent_is_not_for_the_edge(self, hospital, tmp_path):
+        """An event-time run takes it like an update for an unknown agent."""
+        doc = json.loads((SCENARIOS / "hospital.json").read_text("utf-8"))
+        doc["timeline"].append({"at_ms": 1000, "kind": "user_publish", "payload": {
+            "_stream": "RuleUpdate", "agent": ["r301.vent"], "rule": {}}})
+        shutil.copytree(SCENARIOS / "patterns", tmp_path / "patterns")
+        path = tmp_path / "hospital.json"
+        path.write_text(json.dumps(doc))
+        report = run_scenario(load_scenario(path))
+        plain = run_scenario(hospital)
+        assert report.alerts == plain.alerts and report.emissions == plain.emissions
+        assert report.round_trips == plain.round_trips
+
+
 class TestTierSeparation:
     def test_edges_touch_only_their_fog_topics(self, hospital):
-        from atmosphere.harness.runner import Deployment, LogicalClock, resolve_run
+        from atmosphere.harness.runner import Deployment, resolve_run
 
-        deployment = Deployment(hospital, resolve_run(hospital, None), LogicalClock(), link="sync")
+        deployment = Deployment(hospital, resolve_run(hospital, None))
         try:
             sessions = {s.client_id: s for s in deployment.broker._sessions if s.connected}
             for edge_cfg in hospital.edges:
@@ -648,10 +694,10 @@ class TestTierSeparation:
         report = run_scenario(hospital)
         # every engine emission crossed the router onto exactly one topic/sink
         assert len(report.emissions) > 0
-        from atmosphere.harness.runner import Deployment, LogicalClock, resolve_run
+        from atmosphere.harness.runner import Deployment, resolve_run
 
-        clock = LogicalClock()
-        deployment = Deployment(hospital, resolve_run(hospital, None), clock, link="sync")
+        deployment = Deployment(hospital, resolve_run(hospital, None))
+        clock = deployment.clock
         try:
             nodes = list(deployment.fogs.values()) + list(deployment.clouds.values())
             for step_at, edge_id in ((1000, "r301"), (2000, "r302")):
@@ -708,10 +754,7 @@ class TestEdgePumping:
         per_size = {}
         for count in (4, 32):
             config = self.rooms(tmp_path, count)
-            clock = runner_mod.LogicalClock()
-            deployment = runner_mod.Deployment(
-                config, runner_mod.resolve_run(config, None), clock, link="sync"
-            )
+            deployment = runner_mod.Deployment(config, runner_mod.resolve_run(config, None))
             try:
                 calls[0] = 0
                 deployment.edges["r1"].inject_sensor("r1.vent", "o2", 85, at=0)

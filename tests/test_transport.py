@@ -5,9 +5,8 @@ import time
 
 import pytest
 
-from atmosphere.harness.runner import LogicalClock
 from atmosphere.mqtt import Broker, MqttClient
-from atmosphere.transport import Loop, TcpServer, connect_tcp, make_queue_pair
+from atmosphere.transport import LogicalClock, Loop, TcpServer, connect_tcp, every, make_queue_pair
 
 
 class TestLoop:
@@ -33,13 +32,13 @@ class TestLoop:
             yield due
             fired.append(label)
 
-        start = time.monotonic()
-        for due, label in ((start + 0.02, "late"), (start + 0.01, "first"),
-                           (start + 0.01, "second"), (start, "now")):
+        start = loop.clock.now  # ms of the loop's wall clock
+        for due, label in ((start + 20, "late"), (start + 10, "first"),
+                           (start + 10, "second"), (start, "now")):
             loop.start(at(due, label))
         assert loop.run_until(lambda: len(fired) == 4, 1.0)
         assert fired == ["now", "first", "second", "late"]
-        assert time.monotonic() - start >= 0.02
+        assert loop.clock.now - start >= 20
         loop.close()
 
     def test_a_task_due_in_the_past_runs_once_per_turn(self):
@@ -51,7 +50,7 @@ class TestLoop:
             nonlocal resumes
             for _ in range(5):
                 resumes += 1
-                yield 0.0
+                yield 0  # the clock's start
 
         loop.after_turn = lambda: seen.append(resumes)
         loop.start(always_due())
@@ -61,9 +60,20 @@ class TestLoop:
 
     def test_wait_returns_false_at_its_deadline(self):
         loop = Loop()
-        start = time.monotonic()
+        start = loop.clock.now
         assert loop.run_until(lambda: False, 0.05) is False
-        assert 0.05 <= time.monotonic() - start < 1.0
+        assert 50 <= loop.clock.now - start < 1000
+        loop.close()
+
+    def test_every_counts_its_period_on_the_loop_clock(self):
+        loop = Loop()
+        fired = []
+        start = loop.clock.now
+        loop.start(every(loop.clock, 20, lambda: fired.append(loop.clock.now - start)))
+        loop.run_until(lambda: False, 0.1)
+        assert len(fired) >= 2
+        assert fired[0] >= 20
+        assert all(later - earlier >= 20 for earlier, later in zip(fired, fired[1:]))
         loop.close()
 
     def test_a_delivery_that_raises_is_logged_and_the_loop_goes_on(self, caplog):
@@ -134,7 +144,7 @@ class TestVirtualLoop:
         fired, turns = [], []
 
         def task(label):
-            yield 7 if virtual else 0.0  # all due at once
+            yield 7 if virtual else 0  # all due at once
             fired.append(label)
 
         for label in "abc":
