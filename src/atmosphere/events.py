@@ -5,6 +5,12 @@ record of named fields belonging to a named stream. Events cross the wire as
 UTF-8 JSON objects with three reserved keys (``_stream``, ``_ts``, ``_src``)
 followed by the event fields in schema declaration order, which makes the
 encoding byte-deterministic for equal events.
+
+Each :class:`EventSchema` builds its codec plan once, when it is made: the
+field order, each field's JSON key and the exact type that passes its check
+without coercion. :meth:`EventSchema.validate` runs the plan, and
+:func:`encode_event` writes the canonical bytes from it, the same bytes
+``json.dumps(..., separators=(",", ":"), ensure_ascii=False)`` writes.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 from .errors import FieldTypeError, PayloadError, SchemaError, UnknownStreamError
 
@@ -26,7 +33,40 @@ FIELD_TYPES = ("number", "integer", "string", "boolean")
 # Integers survive the JSON boundary exactly only inside the float53 range.
 MAX_SAFE_INT = 2**53
 
-RESERVED_KEYS = ("_stream", "_ts", "_src")
+# The exact class a declared type passes without coercion; anything else goes
+# through ``EventSchema.coerce_value``.
+_EXACT = {"number": float, "integer": int, "string": str, "boolean": bool}
+
+# For values outside the plan's types: writes what ``json.dumps`` writes.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+_INF = float("inf")
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json(value) -> str:
+    if value.__class__ is str:
+        return encode_basestring(value)
+    if value.__class__ is int:
+        return int.__repr__(value)
+    return _ENCODER.encode(value)
+
+
+# How a checked, non-null value of each declared type is written.
+_RENDER = {
+    "number": _json_float,
+    "integer": int.__repr__,
+    "string": encode_basestring,
+    "boolean": {True: "true", False: "false"}.__getitem__,
+}
 
 
 @dataclass(frozen=True, eq=True)
@@ -65,6 +105,13 @@ class EventSchema:
                 raise SchemaError(
                     f"unknown field type {ftype!r} for field {name!r}", field=name
                 )
+        # The codec plan, built once: per field in declaration order, its
+        # name, its JSON key, its exact type and how its value is written.
+        object.__setattr__(self, "_plan", tuple(
+            (name, f',"{name}":', _EXACT[ftype], _RENDER[ftype])
+            for name, ftype in self.fields.items()
+        ))
+        object.__setattr__(self, "_head", f'{{"_stream":"{self.stream}","_ts":')
 
     def coerce_value(self, name: str, value: FieldValue) -> FieldValue:
         """Return ``value`` coerced to the declared type, or raise SchemaError."""
@@ -103,13 +150,20 @@ class EventSchema:
     def validate(self, fields: dict) -> dict:
         """Return the fields re-ordered per declaration with values coerced."""
         out = {}
-        for name in self.fields:
-            if name not in fields:
-                raise SchemaError(f"missing field {name!r}", field=name)
-            out[name] = self.coerce_value(name, fields[name])
-        for name in fields:
-            if name not in self.fields:
-                raise SchemaError(f"undeclared field {name!r}", field=name)
+        for name, _, exact, _ in self._plan:
+            try:
+                value = fields[name]
+            except KeyError:
+                raise SchemaError(f"missing field {name!r}", field=name) from None
+            if value.__class__ is not exact or (
+                exact is int and not -MAX_SAFE_INT <= value <= MAX_SAFE_INT
+            ):  # null, an int for a number, a subclass or an error
+                value = self.coerce_value(name, value)
+            out[name] = value
+        if len(fields) != len(out):
+            for name in fields:
+                if name not in self.fields:
+                    raise SchemaError(f"undeclared field {name!r}", field=name)
         return out
 
 
@@ -147,10 +201,12 @@ def encode_event(event: Event, registry: SchemaRegistry) -> bytes:
     equal bytes.
     """
     schema = registry.get(event.stream)
-    fields = schema.validate(event.fields)
-    doc: dict = {"_stream": event.stream, "_ts": event.timestamp, "_src": event.source}
-    doc.update(fields)
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    values = schema.validate(event.fields).values()
+    parts = [schema._head, _json(event.timestamp), ',"_src":', _json(event.source)]
+    for (_, key, _, render), value in zip(schema._plan, values):
+        parts += key, "null" if value is None else render(value)
+    parts.append("}")
+    return "".join(parts).encode("utf-8")
 
 
 def decode_event(payload: bytes, registry: SchemaRegistry) -> Event:
@@ -161,22 +217,19 @@ def decode_event(payload: bytes, registry: SchemaRegistry) -> Event:
         raise PayloadError(f"malformed event payload: {exc}") from None
     if not isinstance(doc, dict):
         raise PayloadError("event payload must be a JSON object")
-    for key in RESERVED_KEYS:
-        if key not in doc:
-            raise PayloadError(f"event payload missing reserved key {key!r}")
-    stream = doc["_stream"]
-    ts = doc["_ts"]
-    src = doc["_src"]
+    try:  # the fields are what is left
+        stream = doc.pop("_stream")
+        ts = doc.pop("_ts")
+        src = doc.pop("_src")
+    except KeyError as exc:
+        raise PayloadError(f"event payload missing reserved key {exc.args[0]!r}") from None
     if not isinstance(stream, str):
         raise PayloadError("_stream must be a string")
     if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
         raise PayloadError("_ts must be a non-negative integer")
     if not isinstance(src, str):
         raise PayloadError("_src must be a string")
-    schema = registry.get(stream)
-    raw = {k: v for k, v in doc.items() if k not in RESERVED_KEYS}
-    fields = schema.validate(raw)
-    return Event(stream=stream, fields=fields, timestamp=ts, source=src)
+    return Event(stream, registry.get(stream).validate(doc), ts, src)
 
 
 def compare_values(op: str, lhs: FieldValue, rhs: FieldValue) -> bool:

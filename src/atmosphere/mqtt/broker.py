@@ -202,7 +202,13 @@ class Broker:
         self._drain_internal()
 
     def _handle(self, session: Session, packet: Packet) -> None:
-        if isinstance(packet, Connect):
+        if isinstance(packet, Publish) and session.connected:
+            self.counters["publish_in"] += 1
+            self.handle_publish(session, packet)
+        elif isinstance(packet, PubAck) and session.connected:
+            self.counters["puback_in"] += 1
+            session.inflight.pop(packet.packet_id, None)
+        elif isinstance(packet, Connect):
             if self.connect_hook is not None and not self.connect_hook(packet.client_id):
                 self._send(session, ConnAck(return_code=5))  # not authorized
                 self._drop(session)
@@ -215,17 +221,9 @@ class Broker:
             session.connected = True
             self._routes.clear()
             self._send(session, ConnAck(return_code=0))
-            return
-        if not session.connected:
+        elif not session.connected:
             logger.warning("packet before CONNECT; dropping connection")
             self._drop(session)
-            return
-        if isinstance(packet, Publish):
-            self.counters["publish_in"] += 1
-            self.handle_publish(session, packet)
-        elif isinstance(packet, PubAck):
-            self.counters["puback_in"] += 1
-            session.inflight.pop(packet.packet_id, None)
         elif isinstance(packet, Subscribe):
             granted = []
             for topic_filter, qos in packet.filters:
@@ -261,13 +259,13 @@ class Broker:
         callbacks, subscribers = route
         for callback in callbacks:
             self._internal_pending.append((callback, publish.topic, publish.payload))
+        # One QoS 0 forward, encoded once, goes to every QoS 0 subscriber.
+        shared = data = None
         for subscriber, granted in subscribers:
-            qos = min(publish.qos, granted)
-            if qos == 0:
-                self._send(
-                    subscriber,
-                    Publish(topic=publish.topic, payload=publish.payload, qos=0),
-                )
+            if publish.qos == 0 or granted == 0:
+                if shared is None:
+                    shared = Publish(publish.topic, publish.payload)
+                data = self._send(subscriber, shared, data)
             else:
                 forward = subscriber.inflight.open(publish.topic, publish.payload, now := self._clock())
                 self.on_resend(now + self.retry_timeout_ms)
@@ -330,14 +328,19 @@ class Broker:
                 logger.exception("internal subscriber for %s raised", topic)
         self._draining = False
 
-    def _send(self, session: Session, packet: Packet) -> None:
+    def _send(self, session: Session, packet: Packet, data: bytes | None = None) -> bytes | None:
+        """Send ``packet``, encoding it unless its bytes are given as ``data``;
+        returns its bytes once encoded."""
         if session.endpoint is None or session.endpoint.closed:
-            return
+            return data
         if isinstance(packet, Publish):
             self.counters["publish_out"] += 1
         elif isinstance(packet, PubAck):
             self.counters["puback_out"] += 1
-        session.endpoint.send(encode_packet(packet))
+        if data is None:
+            data = encode_packet(packet)
+        session.endpoint.send(data)
+        return data
 
     def _on_endpoint_closed(self, session: Session) -> None:
         if session in self._sessions:

@@ -138,18 +138,7 @@ class MqttClient:
             self._handle(packet)
 
     def _handle(self, packet) -> None:
-        if isinstance(packet, ConnAck):
-            if packet.return_code != 0:
-                logger.error("%s: connection refused (%d)", self.client_id, packet.return_code)
-                self.disconnect()
-                return
-            self._connected = True
-        elif isinstance(packet, SubAck):
-            self._pending_subacks.discard(packet.packet_id)
-        elif isinstance(packet, PubAck):
-            self.counters["puback_received"] += 1
-            self.inflight.pop(packet.packet_id, None)
-        elif isinstance(packet, Publish):
+        if isinstance(packet, Publish):
             self.counters["publish_received"] += 1
             # a re-send is a new publication once acked (MQTT 3.1.1 4.3.2)
             if packet.qos == 1:
@@ -157,6 +146,17 @@ class MqttClient:
                 self._send(PubAck(packet_id=packet.packet_id))
             if self.on_message is not None:
                 self.on_message(packet.topic, packet.payload)
+        elif isinstance(packet, PubAck):
+            self.counters["puback_received"] += 1
+            self.inflight.pop(packet.packet_id, None)
+        elif isinstance(packet, ConnAck):
+            if packet.return_code != 0:
+                logger.error("%s: connection refused (%d)", self.client_id, packet.return_code)
+                self.disconnect()
+                return
+            self._connected = True
+        elif isinstance(packet, SubAck):
+            self._pending_subacks.discard(packet.packet_id)
 
     def _send(self, packet) -> None:
         if self._endpoint is None:

@@ -178,62 +178,64 @@ def decode_remaining_length(data: bytes, offset: int) -> tuple[int, int] | None:
     raise MqttProtocolError("remaining length varint longer than 4 bytes")
 
 
+_U16 = struct.Struct(">H")
+
+
 def _utf8(s: str) -> bytes:
     raw = s.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise MqttProtocolError("string too long for length prefix")
-    return struct.pack(">H", len(raw)) + raw
+    return _U16.pack(len(raw)) + raw
 
 
-def _read_utf8(body: bytes, offset: int) -> tuple[str, int]:
-    if offset + 2 > len(body):
+def _read_utf8(data: bytes, offset: int, end: int) -> tuple[str, int]:
+    if offset + 2 > end:
         raise MqttProtocolError("truncated string length prefix")
-    (length,) = struct.unpack_from(">H", body, offset)
-    end = offset + 2 + length
-    if end > len(body):
+    stop = offset + 2 + (data[offset] << 8 | data[offset + 1])
+    if stop > end:
         raise MqttProtocolError("truncated string body")
     try:
-        return body[offset + 2 : end].decode("utf-8"), end
+        return data[offset + 2 : stop].decode("utf-8"), stop
     except UnicodeDecodeError:
         raise MqttProtocolError("invalid UTF-8 in string") from None
 
 
-def _read_u16(body: bytes, offset: int) -> tuple[int, int]:
-    if offset + 2 > len(body):
+def _read_u16(data: bytes, offset: int, end: int) -> tuple[int, int]:
+    if offset + 2 > end:
         raise MqttProtocolError("truncated 16-bit field")
-    return struct.unpack_from(">H", body, offset)[0], offset + 2
+    return data[offset] << 8 | data[offset + 1], offset + 2
 
 
 def _fixed(ptype: int, flags: int, body: bytes) -> bytes:
+    if len(body) < 0x80:
+        return bytes(((ptype << 4) | flags, len(body))) + body
     return bytes([(ptype << 4) | flags]) + encode_remaining_length(len(body)) + body
 
 
 def encode_packet(packet: Packet) -> bytes:
+    if isinstance(packet, Publish):
+        flags = (0x08 if packet.dup else 0) | (packet.qos << 1)
+        if packet.qos == 1:
+            return _fixed(PUBLISH, flags, _utf8(packet.topic) + _U16.pack(packet.packet_id) + packet.payload)
+        return _fixed(PUBLISH, flags, _utf8(packet.topic) + packet.payload)
+    if isinstance(packet, PubAck):
+        return _fixed(PUBACK, 0, _U16.pack(packet.packet_id))
     if isinstance(packet, Connect):
         if not 0 <= packet.keep_alive_s <= 0xFFFF:
             raise MqttProtocolError("keep_alive out of range")
         # Protocol name MQTT, level 4, clean session always.
-        body = _utf8("MQTT") + bytes([4, 0x02]) + struct.pack(">H", packet.keep_alive_s)
+        body = _utf8("MQTT") + bytes([4, 0x02]) + _U16.pack(packet.keep_alive_s)
         body += _utf8(packet.client_id)
         return _fixed(CONNECT, 0, body)
     if isinstance(packet, ConnAck):
         return _fixed(CONNACK, 0, bytes([0, packet.return_code]))
-    if isinstance(packet, Publish):
-        flags = (0x08 if packet.dup else 0) | (packet.qos << 1)
-        body = _utf8(packet.topic)
-        if packet.qos == 1:
-            body += struct.pack(">H", packet.packet_id)
-        body += packet.payload
-        return _fixed(PUBLISH, flags, body)
-    if isinstance(packet, PubAck):
-        return _fixed(PUBACK, 0, struct.pack(">H", packet.packet_id))
     if isinstance(packet, Subscribe):
-        body = struct.pack(">H", packet.packet_id)
+        body = _U16.pack(packet.packet_id)
         for topic_filter, qos in packet.filters:
             body += _utf8(topic_filter) + bytes([qos])
         return _fixed(SUBSCRIBE, 0x02, body)
     if isinstance(packet, SubAck):
-        body = struct.pack(">H", packet.packet_id) + bytes(packet.granted)
+        body = _U16.pack(packet.packet_id) + bytes(packet.granted)
         return _fixed(SUBACK, 0, body)
     if isinstance(packet, PingReq):
         return _fixed(PINGREQ, 0, b"")
@@ -248,52 +250,28 @@ def decode_packet(data: bytes, offset: int = 0) -> tuple[Packet, int] | None:
     """Decode one packet starting at ``offset``.
 
     Returns ``(packet, bytes consumed)`` or ``None`` when the buffer does not
-    yet hold a complete packet.
+    yet hold a complete packet. Fields are read in place, between the
+    packet's ``start`` and ``end`` in ``data``.
     """
-    if offset >= len(data):
+    if offset + 1 >= len(data):
         return None
     first = data[offset]
+    length = data[offset + 1]
+    if length < 0x80:
+        start = offset + 2
+    else:
+        reml = decode_remaining_length(data, offset + 1)
+        if reml is None:
+            return None
+        length, lenlen = reml
+        start = offset + 1 + lenlen
+    end = start + length
+    if end > len(data):
+        return None
+    total = end - offset
     ptype = first >> 4
     flags = first & 0x0F
-    reml = decode_remaining_length(data, offset + 1)
-    if reml is None:
-        return None
-    length, lenlen = reml
-    header = 1 + lenlen
-    total = header + length
-    if offset + total > len(data):
-        return None
-    body = data[offset + header : offset + total]
 
-    if ptype in _UNSUPPORTED_TYPES:
-        raise UnsupportedFeatureError(_UNSUPPORTED_TYPES[ptype])
-    if ptype == CONNECT:
-        if flags != 0:
-            raise MqttProtocolError("CONNECT flags must be 0")
-        name, pos = _read_utf8(body, 0)
-        if name != "MQTT":
-            raise MqttProtocolError(f"unexpected protocol name {name!r}")
-        if pos + 4 > len(body):
-            raise MqttProtocolError("truncated CONNECT header")
-        level = body[pos]
-        if level != 4:
-            raise UnsupportedFeatureError(f"protocol level {level}")
-        connect_flags = body[pos + 1]
-        if connect_flags & 0x04:
-            raise UnsupportedFeatureError("will messages")
-        if connect_flags & 0xC0:
-            raise UnsupportedFeatureError("username/password authentication")
-        if not connect_flags & 0x02:
-            raise UnsupportedFeatureError("persistent sessions (clean session only)")
-        (keep_alive,) = struct.unpack_from(">H", body, pos + 2)
-        client_id, pos2 = _read_utf8(body, pos + 4)
-        if pos2 != len(body):
-            raise MqttProtocolError("trailing bytes in CONNECT")
-        return Connect(client_id=client_id, keep_alive_s=keep_alive), total
-    if ptype == CONNACK:
-        if flags != 0 or len(body) != 2:
-            raise MqttProtocolError("malformed CONNACK")
-        return ConnAck(return_code=body[1]), total
     if ptype == PUBLISH:
         qos = (flags >> 1) & 0x03
         if qos == 2:
@@ -301,32 +279,62 @@ def decode_packet(data: bytes, offset: int = 0) -> tuple[Packet, int] | None:
         if qos == 3:
             raise MqttProtocolError("invalid qos bits in PUBLISH flags")
         dup = bool(flags & 0x08)
+        if dup and qos == 0:
+            raise MqttProtocolError("DUP flag must be 0 in a QoS 0 PUBLISH")
         if flags & 0x01:
             raise UnsupportedFeatureError("retained messages")
-        topic, pos = _read_utf8(body, 0)
+        topic, pos = _read_utf8(data, start, end)
         validate_topic_name(topic)
         packet_id = None
         if qos == 1:
-            packet_id, pos = _read_u16(body, pos)
+            packet_id, pos = _read_u16(data, pos, end)
             if packet_id == 0:
                 raise MqttProtocolError("qos 1 publish requires nonzero packet_id")
-        payload = bytes(body[pos:])
-        return Publish(topic=topic, payload=payload, qos=qos, packet_id=packet_id, dup=dup), total
+        return Publish(topic, bytes(data[pos:end]), qos, packet_id, dup), total
     if ptype == PUBACK:
-        if flags != 0 or len(body) != 2:
+        if flags != 0 or length != 2:
             raise MqttProtocolError("malformed PUBACK")
-        return PubAck(packet_id=struct.unpack(">H", body)[0]), total
+        return PubAck(data[start] << 8 | data[start + 1]), total
+    if ptype in _UNSUPPORTED_TYPES:
+        raise UnsupportedFeatureError(_UNSUPPORTED_TYPES[ptype])
+    if ptype == CONNECT:
+        if flags != 0:
+            raise MqttProtocolError("CONNECT flags must be 0")
+        name, pos = _read_utf8(data, start, end)
+        if name != "MQTT":
+            raise MqttProtocolError(f"unexpected protocol name {name!r}")
+        if pos + 4 > end:
+            raise MqttProtocolError("truncated CONNECT header")
+        level = data[pos]
+        if level != 4:
+            raise UnsupportedFeatureError(f"protocol level {level}")
+        connect_flags = data[pos + 1]
+        if connect_flags & 0x04:
+            raise UnsupportedFeatureError("will messages")
+        if connect_flags & 0xC0:
+            raise UnsupportedFeatureError("username/password authentication")
+        if not connect_flags & 0x02:
+            raise UnsupportedFeatureError("persistent sessions (clean session only)")
+        keep_alive, pos = _read_u16(data, pos + 2, end)
+        client_id, pos = _read_utf8(data, pos, end)
+        if pos != end:
+            raise MqttProtocolError("trailing bytes in CONNECT")
+        return Connect(client_id=client_id, keep_alive_s=keep_alive), total
+    if ptype == CONNACK:
+        if flags != 0 or length != 2:
+            raise MqttProtocolError("malformed CONNACK")
+        return ConnAck(return_code=data[start + 1]), total
     if ptype == SUBSCRIBE:
         if flags != 0x02:
             raise MqttProtocolError("SUBSCRIBE flags must be 0b0010")
-        packet_id, pos = _read_u16(body, 0)
+        packet_id, pos = _read_u16(data, start, end)
         filters = []
-        while pos < len(body):
-            topic_filter, pos = _read_utf8(body, pos)
+        while pos < end:
+            topic_filter, pos = _read_utf8(data, pos, end)
             validate_topic_filter(topic_filter)
-            if pos >= len(body):
+            if pos >= end:
                 raise MqttProtocolError("missing qos byte in SUBSCRIBE")
-            qos = body[pos]
+            qos = data[pos]
             pos += 1
             if qos > 1:
                 raise UnsupportedFeatureError("QoS 2 subscription")
@@ -337,14 +345,14 @@ def decode_packet(data: bytes, offset: int = 0) -> tuple[Packet, int] | None:
     if ptype == SUBACK:
         if flags != 0:
             raise MqttProtocolError("SUBACK flags must be 0")
-        packet_id, pos = _read_u16(body, 0)
-        granted = tuple(body[pos:])
+        packet_id, pos = _read_u16(data, start, end)
+        granted = tuple(data[pos:end])
         for code in granted:
             if code > 1 and code != 0x80:
                 raise MqttProtocolError(f"invalid granted qos {code}")
         return SubAck(packet_id=packet_id, granted=granted), total
     if ptype in (PINGREQ, PINGRESP, DISCONNECT):
-        if flags != 0 or body:
+        if flags != 0 or length:
             raise MqttProtocolError("malformed control packet")
         cls = {PINGREQ: PingReq, PINGRESP: PingResp, DISCONNECT: Disconnect}[ptype]
         return cls(), total

@@ -51,6 +51,7 @@ class EdgeNode:
     ):
         self.node_id = node_id
         self.fog_id = fog_id
+        self._user_topic = topics.user_topic(fog_id)
         self.registry = registry
         self.qos = qos
         self._clock = clock
@@ -82,7 +83,7 @@ class EdgeNode:
         client.subscribe(
             [
                 (topics.fog_output(self.fog_id, "edge"), self.qos),
-                (topics.user_topic(self.fog_id), self.qos),
+                (self._user_topic, self.qos),
             ]
         )
 
@@ -105,7 +106,7 @@ class EdgeNode:
     # -- inbound ------------------------------------------------------------------
 
     def _on_broker_message(self, topic: str, payload: bytes) -> None:
-        if topic == topics.user_topic(self.fog_id):
+        if topic == self._user_topic:
             self._on_user_payload(payload)
             return
         try:
@@ -115,18 +116,19 @@ class EdgeNode:
             return
         if self.on_event is not None:
             self.on_event(topic, event)
-        consumers = self._consumers.get(event.stream, ())
+        consumers = self._consumers.get(event.stream)
+        if not consumers:
+            return
         stimulus = AclMessage(
             performative="INFORM",
             sender=event.source,
-            receivers=consumers or (self.node_id,),
+            receivers=consumers,
             content={"stream": event.stream, "fields": event.fields},
             sent_at=event.timestamp,
         )
         for agent_id in consumers:
             self.mailboxes[agent_id].append(stimulus)
-        if consumers:
-            self.has_work = True
+        self.has_work = True
 
     def _on_user_payload(self, payload: bytes) -> None:
         try:

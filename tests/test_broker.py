@@ -113,6 +113,33 @@ class TestHandlePublish:
         assert sub.counters["publish_received"] == 1
         assert sub.counters["puback_sent"] == 0  # downgraded to qos 0
 
+    def test_qos0_forward_encoded_once_beside_qos1_forwards(self, broker, clock):
+        publisher = attach_client(broker, "pub", clock)
+        sent = []  # what the broker sends to the subscribers, in order
+        subs = []
+        for i, qos in enumerate((0, 1, 0, 1)):
+            client_end, broker_end = make_sync_pair(f"s{i}-c", f"s{i}-b", drop_b_to_a=sent.append)
+            broker.attach(broker_end)
+            sub = MqttClient(f"s{i}", clock=clock)
+            sub.connect(client_end)
+            sub.subscribe([("t", qos)])
+            subs.append(sub)
+        sent.clear()
+        publisher.publish("t", b"x", qos=1)
+        qos0 = encode_packet(Publish(topic="t", payload=b"x"))
+        qos1 = encode_packet(Publish(topic="t", payload=b"x", qos=1, packet_id=1))
+        assert sent == [qos0, qos1, qos0, qos1]
+        assert sent[0] is sent[2]  # one encoding for both
+        assert [sub.counters["puback_sent"] for sub in subs] == [0, 1, 0, 1]
+        assert broker.counters["publish_out"] == 4
+
+    def test_qos0_publish_with_dup_drops_session(self, broker, clock):
+        publisher = attach_client(broker, "pub", clock)
+        assert broker.session_count() == 1
+        publisher._endpoint.send(bytes([0x38, 0x04, 0x00, 0x01]) + b"tx")
+        assert broker.session_count() == 0
+        assert not publisher.connected
+
     def test_one_copy_per_client_with_overlapping_filters(self, broker, clock):
         publisher = attach_client(broker, "pub", clock)
         sub = attach_client(broker, "sub", clock)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,3 +176,139 @@ def test_compare_values_type_errors_never_false():
         compare_values("=", True, 1)
     with pytest.raises(FieldTypeError):
         compare_values("=", None, 1)
+
+
+# -- the codec plan against json.dumps ------------------------------------------
+
+_EDGE_INTS = st.sampled_from([0, 2**53, -(2**53), 2**53 + 1, -(2**53) - 1])
+_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7f é漢🙂'),
+    max_size=8,
+)
+
+
+def _wire_value(ftype: str):
+    """A value of ``ftype`` or null; the ints include the ±2^53 edges, and a
+    ``number`` field also gets ints, NaN and ±inf."""
+    if ftype == "number":
+        values = st.floats() | st.integers() | _EDGE_INTS
+    elif ftype == "integer":
+        values = st.integers() | _EDGE_INTS
+    elif ftype == "string":
+        values = _TEXT
+    else:
+        values = st.booleans()
+    return st.none() | values
+
+
+def _reference(event: Event, fields: dict) -> bytes:
+    """The canonical bytes by json.dumps: ints in ``number`` fields as floats,
+    SchemaError on the first field, in declaration order, beyond ±2^53."""
+    doc = {"_stream": event.stream, "_ts": event.timestamp, "_src": event.source}
+    for name, ftype in fields.items():
+        value = event.fields[name]
+        if isinstance(value, int) and not isinstance(value, bool):
+            if abs(value) > 2**53:
+                raise SchemaError(f"{ftype} field {name!r} exceeds 2^53: {value}", field=name)
+            if ftype == "number":
+                value = float(value)
+        doc[name] = value
+    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def _same(a, b) -> bool:
+    """Equal field values, NaN equal to NaN."""
+    return a == b or (a != a and b != b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=_SCHEMA_FIELDS, ts=st.integers(min_value=0, max_value=2**63),
+       src=_TEXT, data=st.data())
+def test_encode_matches_json_dumps(fields, ts, src, data):
+    registry = SchemaRegistry([EventSchema("S", fields)])
+    values = {name: data.draw(_wire_value(ftype)) for name, ftype in fields.items()}
+    event = Event("S", values, ts, src)
+    try:
+        expected = _reference(event, fields)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as err:
+            encode_event(event, registry)
+        assert (str(err.value), err.value.field) == (str(exc), exc.field)
+        return
+    payload = encode_event(event, registry)
+    assert payload == expected
+    decoded = decode_event(payload, registry)
+    assert (decoded.stream, decoded.timestamp, decoded.source) == ("S", ts, src)
+    assert list(decoded.fields) == list(fields)
+    assert all(_same(decoded.fields[name], values[name]) for name in fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=_SCHEMA_FIELDS, ts=st.integers(min_value=0, max_value=2**63),
+       src=_TEXT, data=st.data())
+def test_decode_inverts_encode(fields, ts, src, data):
+    registry = SchemaRegistry([EventSchema("S", fields)])
+    values = {}
+    for name, ftype in fields.items():
+        value = data.draw(_wire_value(ftype))
+        if isinstance(value, int) and not isinstance(value, bool) and abs(value) > 2**53:
+            value = 2**53
+        values[name] = value
+    event = Event("S", values, ts, src)
+    decoded = decode_event(encode_event(event, registry), registry)
+    if not any(value != value for value in values.values()):  # NaN is never equal
+        assert decoded == event
+    assert all(_same(decoded.fields[name], values[name]) for name in fields)
+
+
+@pytest.mark.parametrize("fields,message,field", [
+    ({"isOn": True}, "missing field 'floor'", "floor"),
+    ({"isOn": True, "floor": 1, "zap": 1}, "undeclared field 'zap'", "zap"),
+    ({"zap": 1, "isOn": True}, "missing field 'floor'", "floor"),
+    ({"isOn": True, "floor": "3"}, "field 'floor' expects integer, got str", "floor"),
+    ({"isOn": 1, "floor": 3}, "field 'isOn' expects boolean, got int", "isOn"),
+    ({"isOn": True, "floor": True}, "field 'floor' expects integer, got bool", "floor"),
+    ({"isOn": True, "floor": 2**53 + 1}, "integer field 'floor' exceeds 2^53: 9007199254740993", "floor"),
+    ({"isOn": True, "floor": -(2**53) - 1}, "integer field 'floor' exceeds 2^53: -9007199254740993", "floor"),
+])
+def test_schema_errors_pinned(registry, fields, message, field):
+    for check in (
+        lambda: encode_event(Event("ExternalLight", fields, 0, "e"), registry),
+        lambda: registry.get("ExternalLight").validate(fields),
+    ):
+        with pytest.raises(SchemaError) as err:
+            check()
+        assert (str(err.value), err.value.field) == (message, field)
+
+
+@pytest.mark.parametrize("value,message", [
+    (2**53 + 1, "number field 'value' exceeds 2^53: 9007199254740993"),
+    ("1", "field 'value' expects number, got str"),
+    (False, "field 'value' expects number, got bool"),
+])
+def test_number_schema_errors_pinned(registry, value, message):
+    with pytest.raises(SchemaError) as err:
+        encode_event(Event("Reading", {"value": value}, 0, "e"), registry)
+    assert (str(err.value), err.value.field) == (message, "value")
+    payload = b'{"_stream":"Reading","_ts":0,"_src":"e","value":' + json.dumps(value).encode() + b"}"
+    with pytest.raises(SchemaError) as err:
+        decode_event(payload, registry)
+    assert (str(err.value), err.value.field) == (message, "value")
+
+
+def test_decode_errors_pinned(registry):
+    for payload, message in (
+        (b'{"_ts":1,"_src":"x"}', "event payload missing reserved key '_stream'"),
+        (b'{"_stream":"Empty","_src":"x"}', "event payload missing reserved key '_ts'"),
+        (b'{"_stream":"Empty","_ts":1}', "event payload missing reserved key '_src'"),
+        (b'{"_stream":1,"_ts":-1}', "event payload missing reserved key '_src'"),
+        (b'{"_stream":1,"_ts":-1,"_src":2}', "_stream must be a string"),
+        (b'{"_stream":"Empty","_ts":-1,"_src":2}', "_ts must be a non-negative integer"),
+        (b'{"_stream":"Empty","_ts":1,"_src":2}', "_src must be a string"),
+        (b'[]', "event payload must be a JSON object"),
+    ):
+        with pytest.raises(PayloadError) as err:
+            decode_event(payload, registry)
+        assert str(err.value) == message
+    with pytest.raises(UnknownStreamError):
+        decode_event(b'{"_stream":"Nope","_ts":1,"_src":"x","a":1}', registry)

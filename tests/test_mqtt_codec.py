@@ -119,6 +119,12 @@ def test_qos1_requires_packet_id():
         decode_packet(raw)
 
 
+def test_qos0_publish_with_dup_rejected():
+    # MQTT 3.1.1 [MQTT-3.3.1-2]: the DUP flag must be 0 in a QoS 0 PUBLISH
+    with pytest.raises(MqttProtocolError):
+        decode_packet(bytes([0x38, 0x04, 0x00, 0x01]) + b"tx")
+
+
 def test_topic_validation():
     # packets built in process are not checked; the decoder checks the wire
     for packet in (
@@ -135,7 +141,8 @@ def test_topic_validation():
 
 _topic_level = st.from_regex(r"[a-z0-9_]{1,6}", fullmatch=True)
 _topic = st.lists(_topic_level, min_size=1, max_size=4).map("/".join)
-_payload = st.binary(max_size=64)
+# long enough for a PUBLISH to cross the 127/128-byte remaining-length edge
+_payload = st.binary(max_size=300)
 
 _packets = st.one_of(
     st.just(PingReq()),

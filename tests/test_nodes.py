@@ -469,6 +469,19 @@ class TestEdgeNode:
         logs = [e for e in edge.effect_log if isinstance(e, LogLine)]
         assert len(logs) == 6  # every agent has the matching message rule
 
+    def test_unconsumed_fog_output_reaches_on_event_only(self):
+        quiet = {"id": "e1.quiet", "sensors": ["s"], "rules": [{
+            "id": "sense", "trigger": {"kind": "sensor", "sensor": "s"},
+            "actions": [{"kind": "log", "template": "s $value"}]}]}
+        registry, broker, fog, gateway, edge = self.build([parse_agent_spec(quiet, path="/q")])
+        seen = []
+        edge.on_event = lambda topic, event: seen.append((topic, event.stream, event.fields))
+        publisher = attach_client(broker, "sim")
+        publisher.publish(topics.fog_input("f1"), encode_event(Event("Ping", {"n": 1}, 10, "e1"), registry))
+        assert seen == [(topics.fog_output("f1", "edge"), "Echo", {"n": 1})]
+        assert not edge.has_work
+        assert all(not mailbox for mailbox in edge.mailboxes.values())
+
     def test_rule_update_adding_message_trigger_routes_next_event(self):
         registry, broker, fog, gateway, edge = self.build()
         spec = parse_agent_spec(
