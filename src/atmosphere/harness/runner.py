@@ -2,15 +2,14 @@
 simulators and agent timers, measures round trips, and produces a
 :class:`RunReport`.
 
-One builder, :class:`Deployment`, makes the process's one clock and wires
-the nodes over links of one kind, both derived from the run and the
-placement: ``sync`` (synchronous, in-process) in event time, ``queue``
-(in-process, queued on one loop) in processing time, or ``tcp`` (local
-sockets on that loop) when its :class:`Placement` hosts only part of the
-deployment, in a run split over OS processes (see :mod:`.procs`). The
-placement says which nodes this process hosts: the core tier (broker,
-gateways, fogs, clouds, user node and feeder) and which edges; by default,
-everything.
+One builder, :class:`Deployment`, makes the process's one clock, from the
+run, and wires the nodes over links of one kind, from the placement:
+``queue`` (in-process, queued on the process's one loop) under either clock,
+or ``tcp`` (local sockets on that loop) when its :class:`Placement` hosts
+only part of the deployment, in a run split over OS processes (see
+:mod:`.procs`). The placement says which nodes this process hosts: the core
+tier (broker, gateways, fogs, clouds, user node and feeder) and which edges;
+by default, everything.
 
 One driver, :func:`drive`, runs a deployment's tasks on its loop: the
 engines' window boundaries, then the timeline, each simulator and each
@@ -22,12 +21,12 @@ the tasks and the nodes all read the one clock, counted in ms from the
 run's start:
 
 * ``event_time``: a :class:`LogicalClock`, which the loop moves to the next
-  timer, and sync links. Byte-identical output for a given seed; used for
-  all correctness runs.
+  timer once every queued message has arrived. Byte-identical output for a
+  given seed; used for all correctness runs.
 * ``processing_time``: a :class:`WallClock`, whose timers the loop waits
-  for, queued (or tcp) links, plus a CPU sample; the benches, in one process
-  or in each of a split run. Latency is measured on the edge from a send's
-  due time to the return of the matching complex event.
+  for, plus a CPU sample; the benches, in one process or in each of a split
+  run. Latency is measured on the edge from a send's due time to the return
+  of the matching complex event.
 
 The bench convention: every simulator event carries a ``rid`` field, the fog
 echoes it back on the edge output topic, and the edge records the round trip.
@@ -112,25 +111,26 @@ def _probe_spec(edge_id: str):
 class Deployment:
     """The nodes of one scenario that ``placement`` puts in this process,
     wired to one broker and per-fog gateways, all on one ``clock`` that
-    ``loop`` counts on: a :class:`LogicalClock` and ``sync`` links in event
-    time, a :class:`WallClock` and ``queue`` links on ``loop`` in processing
-    time, and ``tcp`` links on ``loop`` for a placement of part of the
-    deployment."""
+    ``loop`` counts on: a :class:`LogicalClock` in event time, a
+    :class:`WallClock` in processing time. Links are ``queue`` links on
+    ``loop``, or ``tcp`` links on it for a placement of part of the
+    deployment; the loop pumps the flagged edges after each turn."""
 
     def __init__(self, config: ScenarioConfig, run: RunDefaults,
                  placement: Placement = Placement()):
         # first, so that sends are due from before the build
         self.clock = clock = LogicalClock() if run.clock == "event_time" else WallClock()
-        event_time = isinstance(clock, LogicalClock)
         self.config = config
         self.run = run
-        self.link = link = "tcp" if placement != Placement() else "sync" if event_time else "queue"
+        self.link = link = "tcp" if placement != Placement() else "queue"
         self.placement = placement
         self.registry = config.build_registry()
         self.loop = Loop(clock)
+        self.loop.after_turn = self.pump_edges
+        self._flagged: list[EdgeNode] = []  # edges flagged since the last pump, see pump_edges
         # under tcp, where the core serves: {"broker": port, "gateways": {fog: port}}
         self.ports = placement.core_ports
-        wall = None if event_time else clock  # the engines stamp arrivals with it
+        wall = None if isinstance(clock, LogicalClock) else clock  # the engines stamp arrivals with it
 
         self.broker: Broker | None = None
         self.gateways: dict[str, GatewayServer] = {}
@@ -199,6 +199,7 @@ class Deployment:
                 clock=clock,
                 qos=run.qos,
             )
+            edge.on_work = self._flagged.append
             if run.mode != "agents-only":
                 edge.attach_broker(self._mqtt_client(edge_cfg.id))
             if with_gateway:
@@ -216,18 +217,12 @@ class Deployment:
     def _serve(self, on_connection) -> int:
         return TcpServer(TCP_HOST, 0, on_connection, self.loop).port
 
-    def _pair(self, name_a: str, name_b: str, attach):
-        """An in-process link, queued on the loop unless sync; ``attach``
-        takes the far end, the near end is returned."""
-        a, b = make_queue_pair(name_a, name_b, None if self.link == "sync" else self.loop)
-        attach(b)
-        return a
-
     def _mqtt_client(self, client_id: str) -> MqttClient:
         if self.link == "tcp":
             endpoint = connect_tcp(TCP_HOST, self.ports["broker"], self.loop, name=client_id)
         else:
-            endpoint = self._pair(f"{client_id}-c", f"{client_id}-b", self.broker.attach)
+            endpoint, far = make_queue_pair(f"{client_id}-c", f"{client_id}-b", self.loop)
+            self.broker.attach(far)
         client = MqttClient(client_id, clock=self.clock)
         client.connect(endpoint)
         self.clients.append(client)
@@ -238,8 +233,8 @@ class Deployment:
             endpoint = connect_tcp(TCP_HOST, self.ports["gateways"][fog_id], self.loop,
                                    name=f"{edge_id}-gw")
         else:
-            endpoint = self._pair(f"{edge_id}-gw-c", f"{edge_id}-gw-s",
-                                  self.gateways[fog_id].attach_channel)
+            endpoint, far = make_queue_pair(f"{edge_id}-gw-c", f"{edge_id}-gw-s", self.loop)
+            self.gateways[fog_id].attach_channel(far)
         client = GatewayClient(edge_id)
         client.connect(endpoint)
         return client
@@ -258,17 +253,13 @@ class Deployment:
     # -- teardown / flushing -------------------------------------------------------
 
     def pump_edges(self) -> int:
-        """Pump flagged edges, in order, until a pass moves nothing.
-
-        An edge without ``has_work`` has empty mailboxes, so skipping it
-        leaves the processing order unchanged.
-        """
-        total = 0
-        while True:
-            moved = sum(edge.pump() for edge in self.edges.values() if edge.has_work)
-            if moved == 0:
-                return total
-            total += moved
+        """Pump the edges flagged since the last pump (``on_work``), in config
+        order; the stimuli processed. An unflagged edge has empty mailboxes,
+        and a pump's sends wait on the loop, so one pass leaves none flagged."""
+        flagged = self._flagged
+        edges = flagged[:] if len(flagged) < 2 else [e for e in self.edges.values() if e.has_work]
+        flagged.clear()
+        return sum(edge.pump() for edge in edges if edge.has_work)
 
     def close(self) -> None:
         # closing a link's near end closes its far end too
@@ -592,16 +583,14 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
             sink.received(rid, clock())
 
     def drained() -> bool:
-        return saturated or (
-            sink.in_flight == 0 and all(c.inflight_count() == 0 for c in deployment.clients)
-        )
+        return saturated or (not loop.ready and sink.in_flight == 0
+                             and all(c.inflight_count() == 0 for c in deployment.clients))
 
     try:
         if peers is not None:
             peers.ready()
         for edge in deployment.edges.values():
             edge.on_event, edge.on_acl = on_event, on_acl
-        loop.after_turn = deployment.pump_edges  # it skips edges nothing has flagged
         for task in _tasks(deployment, sink, rate_override):
             loop.start(awaited(task))
         loop.start(_resends(deployment, int(run.duration_s * 1000)))

@@ -68,6 +68,7 @@ class EdgeNode:
         self.on_event = None  # hook: (topic, Event) for fog-output deliveries
         self.on_acl = None  # hook: AclMessage received from the gateway
         self.on_timer = None  # hook: the due time of a timer a rule update started
+        self.on_work = None  # hook: this edge, each time ``has_work`` is set from clear
         self._timer_next: dict[tuple[str, str], int] = {}
         self._timer_count: dict[tuple[str, str], int] = {}
         self._consumers = self._index_consumers()
@@ -128,7 +129,7 @@ class EdgeNode:
         )
         for agent_id in consumers:
             self.mailboxes[agent_id].append(stimulus)
-        self.has_work = True
+        self._flag()
 
     def _on_user_payload(self, payload: bytes) -> None:
         try:
@@ -141,7 +142,7 @@ class EdgeNode:
         rule_doc = doc.get("rule")
         if isinstance(agent_id, str) and agent_id in self.agents and isinstance(rule_doc, dict):
             self.mailboxes[agent_id].append(_RuleUpdate(agent_id, rule_doc))
-            self.has_work = True
+            self._flag()
 
     def _on_gateway_message(self, message: AclMessage) -> None:
         if self.on_acl is not None:
@@ -154,11 +155,11 @@ class EdgeNode:
         for agent_id in receivers:
             self.mailboxes[agent_id].append(message)
         if receivers:
-            self.has_work = True
+            self._flag()
 
     def inject_sensor(self, agent_id: str, sensor: str, value, at: int) -> None:
         self.mailboxes[agent_id].append(SensorSample(sensor, value, at))
-        self.has_work = True
+        self._flag()
 
     def _index_consumers(self) -> dict[str, tuple]:
         """Stream -> ids of the agents with a message rule on it, in
@@ -193,6 +194,11 @@ class EdgeNode:
         key = (agent_id, rule_id)
         self._timer_count[key] = self._timer_count.get(key, 0) + 1
         self.mailboxes[agent_id].append(TimerFire(rule_id, self._timer_count[key], at))
+        self._flag()
+
+    def _flag(self) -> None:
+        if not self.has_work and self.on_work is not None:
+            self.on_work(self)
         self.has_work = True
 
     def pump(self) -> int:

@@ -1,14 +1,12 @@
 """Byte-stream links between nodes, the loop that runs them, and the
 process's one clock.
 
-Three interchangeable flavors carry the same traffic:
-
-* :func:`make_sync_pair`: in-process, synchronous delivery; used by the
-  deterministic (event-time) harness and by protocol tests, optionally with
-  seeded packet loss.
-* :func:`make_queue_pair`: in-process, queued on a :class:`Loop`; used by
-  the wall-clock benchmark harness so latency includes real queueing.
-* :class:`TcpServer` / :func:`connect_tcp`: plain TCP on a :class:`Loop`.
+The harness links nodes in one of two ways, each run by a :class:`Loop`:
+:func:`make_queue_pair`, in-process, each send queued on the loop, under
+either clock; or :class:`TcpServer` / :func:`connect_tcp`, plain TCP,
+between the processes of a split run. :func:`make_sync_pair`, which
+delivers inside the sender's call, is for protocol tests only, optionally
+with seeded packet loss.
 
 A process counts time on one clock, in milliseconds: a :class:`LogicalClock`
 in event time, which stands still until the loop moves it to its next
@@ -120,10 +118,13 @@ class Loop:
 
         A turn waits for socket events until the next timer or the deadline
         is due, or only polls while deliveries are queued or the clock is
-        logical, which moves to the next timer unless deliveries are queued.
-        Then it runs the deliveries queued by then and the earliest timer
-        due by then (ties in start order): a timer that yields a time
-        already past runs on a later turn.
+        logical. Then it runs the deliveries queued by then and the earliest
+        timer due by then (ties in start order): a timer that yields a time
+        already past runs on a later turn. A logical clock instead moves to
+        the earliest timer and runs it, but only on a turn that starts with
+        no delivery queued, and a turn runs deliveries until none is left,
+        those they queue included: one instant's messages settle, and
+        ``after_turn`` runs, before its next timer.
         """
         clock = self.clock
         virtual = isinstance(clock, LogicalClock)
@@ -134,6 +135,8 @@ class Loop:
                 if not timers:
                     return False
                 clock.set(timers[0][0])
+                _, rank, task = heapq.heappop(timers)
+                self._resume(rank, task)
             now = clock.now
             if now >= deadline:
                 return False
@@ -144,13 +147,15 @@ class Loop:
                         key.data.on_writable()
                     if events & selectors.EVENT_READ:
                         key.data.on_readable()
-            for _ in range(len(ready)):
+            count = len(ready)
+            while count:
                 endpoint, data = ready.popleft()
                 try:
                     endpoint._deliver(data)
                 except Exception:
                     logger.exception("receiver for %s raised", endpoint.name)
-            if timers and timers[0][0] <= clock.now:
+                count = len(ready) if virtual else count - 1
+            if timers and timers[0][0] <= clock.now and not virtual:
                 _, rank, task = heapq.heappop(timers)
                 self._resume(rank, task)
             self.after_turn()
@@ -172,7 +177,7 @@ def every(clock, period_ms: float, callback: Callable[[], None]) -> Iterator[flo
 
 
 class Endpoint:
-    """One end of a bidirectional link; ``loop`` runs it, ``None`` for sync."""
+    """One end of a bidirectional link; ``loop`` runs it, ``None`` in a sync pair."""
 
     loop: Loop | None = None
 

@@ -26,6 +26,7 @@ from atmosphere.transport import make_sync_pair
 
 from .cep_random import SPAN_MS, generate_log, random_registry
 from .listings import LISTING_ORDER, LISTING_TEXTS
+from .test_harness import settle
 from .test_mqtt_codec import GOLDEN, _packets
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -114,7 +115,7 @@ def test_criterion_3_hospital_end_to_end():
             fog = deployment.fogs["f1"]
             clock.set(1000)
             edge.inject_sensor("r301.vent", "o2", 85, at=1000)
-            deployment.pump_edges()
+            settle(deployment)
             actuations = [
                 e for e in edge.effect_log
                 if isinstance(e, Actuation) and e.actuator == "external_light"
@@ -124,7 +125,7 @@ def test_criterion_3_hospital_end_to_end():
             other = deployment.edges["r204"]
             clock.set(2000)
             other.inject_sensor("r204.vent", "o2", 95, at=2000)
-            deployment.pump_edges()
+            settle(deployment)
             assert not [
                 e for e in other.effect_log
                 if isinstance(e, Actuation) and e.actuator == "external_light"
@@ -298,13 +299,14 @@ def test_criterion_9_user_bridge_isolation():
                 from atmosphere.events import encode_event
 
                 user.publish_raw(encode_event(notice, deployment.registry))
+                settle(deployment)
             assert fog.ingest_count == before, "user traffic leaked into the engine"
 
             # rule update measurably flips a threshold
             edge = deployment.edges["r301"]
             clock.set(1000)
             edge.inject_sensor("r301.vent", "o2", 85, at=1000)
-            deployment.pump_edges()
+            settle(deployment)
             light = edge.agents["r301.light"]
             assert light.actuators["external_light"] is True
             light.actuators["external_light"] = False
@@ -320,14 +322,14 @@ def test_criterion_9_user_bridge_isolation():
                 },
                 at=2000,
             )
-            deployment.pump_edges()
+            settle(deployment)
             clock.set(3000)
             edge.inject_sensor("r301.vent", "o2", 85, at=3000)
-            deployment.pump_edges()
+            settle(deployment)
             assert light.actuators["external_light"] is False, "old threshold still active"
             clock.set(4000)
             edge.inject_sensor("r301.vent", "o2", 65, at=4000)
-            deployment.pump_edges()
+            settle(deployment)
             assert light.actuators["external_light"] is True, "new threshold not applied"
             # only the pre-update rule published to the fog; the replacement
             # carries just the actuation

@@ -54,6 +54,19 @@ def bench_copy(tmp_path, edges: int, rates=(), timeline=()):
     return load_scenario(path)
 
 
+def settle(deployment) -> int:
+    """Pump the edges, then run loop turns, each followed by a pump, until no
+    delivery is queued; the stimuli pumped. A deployment's links queue on its
+    loop, so what a step sends arrives only on a turn."""
+    loop, pumped = deployment.loop, [deployment.pump_edges()]
+    loop.after_turn = lambda: pumped.append(deployment.pump_edges())
+    try:
+        loop.run_until(lambda: not loop.ready)
+    finally:
+        loop.after_turn = deployment.pump_edges
+    return sum(pumped)
+
+
 def rid_schedule(rates, duration_s) -> list:
     """(round-trip id, send time) of every send: simulator i numbers its
     round trips on from the sends of the simulators before it."""
@@ -426,6 +439,37 @@ class TestOneLoop:
         assert [r.sent_at for r in report.records] == emission_times_ms(200, 1)
         assert all(r.latency_ms >= 0 for r in report.records)
 
+    def test_event_time_receivers_are_never_re_entered(self, bench, monkeypatch):
+        """Every in-process send waits on the loop, so no receive runs
+        inside another receive of the same kind."""
+        from atmosphere.agents import GatewayServer
+        from atmosphere.mqtt import Broker
+
+        depth, deepest, calls = {}, {}, {}
+
+        def tracked(owner, name):
+            method = getattr(owner, name)
+
+            def wrapper(*args):
+                depth[name] = depth.get(name, 0) + 1
+                deepest[name] = max(deepest.get(name, 0), depth[name])
+                calls[name] = calls.get(name, 0) + 1
+                try:
+                    return method(*args)
+                finally:
+                    depth[name] -= 1
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        tracked(Broker, "feed")
+        tracked(GatewayServer, "_on_data")
+        report = run_scenario(bench, RunOverrides(rate=50, duration_s=2, qos=1, mode="full",
+                                                  clock="event_time"))
+        assert report.round_trips["completed"] == 100
+        assert report.counters["acl"] > 0
+        assert calls["feed"] >= 2 * 100 and calls["_on_data"] > 0  # a PUBLISH and a PUBACK per trip
+        assert deepest == {"feed": 1, "_on_data": 1}
+
 
 class TestInputTasks:
     """Both clocks run the same input tasks: the timeline, the simulators
@@ -640,12 +684,13 @@ class TestOneClock:
         assert ends
         return ends
 
-    def test_event_time_deployment_holds_a_logical_clock_and_sync_links(self, hospital):
+    def test_event_time_deployment_holds_a_logical_clock_and_queued_links(self, hospital):
         deployment = runner_mod.Deployment(hospital, runner_mod.resolve_run(hospital, None))
         try:
             assert isinstance(deployment.clock, LogicalClock)
             assert deployment.loop.clock is deployment.clock
-            assert all(end.loop is None for end in self.link_ends(deployment))
+            assert deployment.link == "queue"
+            assert all(end.loop is deployment.loop for end in self.link_ends(deployment))
         finally:
             deployment.close()
 
@@ -703,7 +748,7 @@ class TestTierSeparation:
             for step_at, edge_id in ((1000, "r301"), (2000, "r302")):
                 clock.set(step_at)
                 deployment.edges[edge_id].inject_sensor(f"{edge_id}.vent", "o2", 85, at=step_at)
-                deployment.pump_edges()
+                settle(deployment)
             for node in nodes:  # past the fog's 10-minute boundary
                 node.advance(700_000)
             for node in nodes:
@@ -758,7 +803,7 @@ class TestEdgePumping:
             try:
                 calls[0] = 0
                 deployment.edges["r1"].inject_sensor("r1.vent", "o2", 85, at=0)
-                assert deployment.pump_edges() == 2  # the sample, then the message
+                assert settle(deployment) == 2  # the sample, then the message
                 per_size[count] = calls[0]
                 effects = deployment.edges["r1"].effect_log
                 assert Actuation("r1.light", "light", True) in effects

@@ -154,6 +154,56 @@ class TestVirtualLoop:
         assert turns == ["a", "ab", "abc"]
         loop.close()
 
+    def test_a_timers_deliveries_settle_before_the_next_timer_of_its_ms(self):
+        """Each end bounces what it gets back to the other until it is three
+        bytes long; the cascade of the first timer's two sends ends, and
+        ``after_turn`` runs, before the second timer, due in the same ms,
+        resumes."""
+        clock = LogicalClock()
+        loop = Loop(clock)
+        a, b = make_queue_pair("a", "b", loop)
+        log = []
+
+        def bounce(end):
+            def on_receive(data):
+                log.append((end.name, data, clock()))
+                if len(data) < 3:
+                    end.send(data + b".")
+            return on_receive
+
+        a.on_receive, b.on_receive = bounce(a), bounce(b)
+
+        def first():
+            yield 5
+            a.send(b"x")
+            a.send(b"y")
+
+        def second():
+            yield 5
+            log.append(("timer", None, clock()))
+
+        loop.start(first())
+        loop.start(second())
+        loop.after_turn = lambda: log.append(("turn", None, clock()))
+        assert loop.run_until(lambda: False) is False
+        assert log == [
+            ("b", b"x", 5), ("b", b"y", 5), ("a", b"x.", 5), ("a", b"y.", 5),
+            ("b", b"x..", 5), ("b", b"y..", 5), ("turn", None, 5),
+            ("timer", None, 5), ("turn", None, 5),
+        ]
+
+    def test_run_until_delivers_every_queued_message_before_it_is_false(self):
+        loop = Loop(LogicalClock())
+        a, b = make_queue_pair("a", "b", loop)
+        got = []
+        a.on_receive = got.append
+        b.on_receive = lambda data: (got.append(data), b.send(data.upper()))
+        for data in (b"p", b"q", b"r"):
+            a.send(data)
+        assert loop.run_until(lambda: False) is False
+        assert got == [b"p", b"q", b"r", b"P", b"Q", b"R"]
+        assert not loop.ready
+
     def test_wake_resumes_a_waiting_task_sooner_never_later(self):
         clock = LogicalClock()
         loop = Loop(clock)
