@@ -79,8 +79,9 @@ def broker(host, port):
     """Serve a standalone broker over TCP (for third-party MQTT clients) until SIGINT or SIGTERM."""
     import signal
 
+    from .harness.runner import resends
     from .mqtt import Broker
-    from .transport import Loop, TcpServer, every
+    from .transport import Loop, TcpServer
 
     loop = Loop()
     core = Broker(clock=loop.clock)
@@ -88,13 +89,13 @@ def broker(host, port):
         server = TcpServer(host, port, core.attach, loop)
     except AtmosphereError as exc:
         raise click.ClickException(str(exc)) from None
-    click.echo(f"broker listening on {host}:{server.port}", err=True)
-    signals = []
     for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda signum, frame: signals.append(signum))
-    loop.start(every(loop.clock, 200, core.tick))
+        # SystemExit leaves the loop's select too: PEP 475 retries it only if this returns
+        signal.signal(signum, lambda signum, frame: sys.exit(0))
+    click.echo(f"broker listening on {host}:{server.port}", err=True)
+    loop.start(resends(loop, [core], float("inf")))
     try:
-        loop.run_until(lambda: signals)
+        loop.run_until(lambda: False)
     finally:
         loop.close()
 

@@ -6,15 +6,17 @@ Each process builds its part with :class:`.runner.Deployment` over ``tcp``
 links, placed by a :class:`.runner.Placement`, and runs it on one loop with
 :func:`.runner.drive`: the code above the transport is identical to the
 in-process driver. This module spawns the processes, hands the core's ports
-to the edges, sets the shared stop once every edge has drained, and merges
-the partial reports.
+to the edges, sends each process its stop once every edge has drained, and
+merges the partial reports; a run that loses a process fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import multiprocessing as mp
 import queue
+import socket
 import threading
 import time
 
@@ -36,9 +38,9 @@ class _Peers:
     Every edge waits at ``start`` until all edges have subscribed, so that
     none misses the first echoes of another on the shared fog output topic.
     Every edge reports on ``drained_q`` once its own round trips have
-    drained, then stays connected until ``stop``: the other edges' echoes
-    keep reaching it until they have drained too. The core only waits for
-    ``stop``, which its loop checks on a timer while it goes on routing.
+    drained, then stays connected until a byte reaches ``stop``, its socket:
+    the other edges' echoes keep reaching it until they have drained too.
+    The core only waits for ``stop``, in the selector of its routing loop.
     """
 
     def __init__(self, stop, start=None, drained_q=None, label: str = "core"):
@@ -57,7 +59,7 @@ class _Peers:
 
     def drained(self) -> None:
         if self.drained_q is not None:
-            self.drained_q.put(self.label)
+            self.drained_q.put((self.label, None))
 
 
 def _host(config: ScenarioConfig, run: RunDefaults, rate_override, placement, ports_q,
@@ -69,71 +71,90 @@ def _host(config: ScenarioConfig, run: RunDefaults, rate_override, placement, po
     deployment = runner.Deployment(config, run, placement)
     if placement.core:
         ports_q.put(deployment.ports)
-    reports_q.put(runner.drive(deployment, rate_override, peers))
+    reports_q.put((peers.label, runner.drive(deployment, rate_override, peers)))
 
 
 def run_in_processes(config: ScenarioConfig, run: RunDefaults, rate_override) -> RunReport:
+    """Run the split deployment and merge its reports. A process that ends
+    before its stop fails the run at once: the others are stopped, and a
+    :class:`ConfigError` names each process that ended early or else did
+    not report, with its exit code."""
     if config.timeline:
         raise ConfigError("scripted timelines need an in-process run")
     ctx = mp.get_context("fork")
-    stop = ctx.Event()
     start = ctx.Barrier(max(1, len(config.edges)))  # a barrier needs a party
     ports_q = ctx.Queue()
     drained_q = ctx.Queue()
     reports_q = ctx.Queue()
+    stops = []  # the parent's end of each process's stop pair
 
-    def spawn(name: str, placement: runner.Placement, peers: _Peers):
+    def spawn(name: str, placement: runner.Placement, *shared):
+        ours, theirs = socket.socketpair()
+        stops.append(ours)
+        peers = _Peers(theirs, *shared, label=name)
         proc = ctx.Process(
             target=_host,
             args=(config, run, rate_override, placement, ports_q, peers, reports_q),
             name=name,
         )
         proc.start()
+        theirs.close()
         return proc
 
-    core = spawn("core", runner.Placement(edges=()), _Peers(stop))
+    core = spawn("core", runner.Placement(edges=()))
     try:
         ports = ports_q.get(timeout=STARTUP_TIMEOUT_S)
     except queue.Empty:
         core.terminate()
+        stops[0].close()
         raise ConfigError("core process failed to start") from None
-    edge_procs = [
+    procs = [core] + [
         spawn(f"edge-{edge_cfg.id}",
               runner.Placement(core=False, edges=(edge_cfg.id,), core_ports=ports),
-              _Peers(stop, start, drained_q, edge_cfg.id))
+              start, drained_q)
         for edge_cfg in config.edges
     ]
 
     deadline = time.monotonic() + run.duration_s + REPORT_GRACE_S
     try:
-        _gather(drained_q, edge_procs, deadline)
+        _gather(drained_q, procs[1:], deadline)
+        failed = [proc for proc in procs if proc.exitcode is not None]  # none ends before its stop
     finally:
-        stop.set()
-    reports = _gather(reports_q, [core] + edge_procs, time.monotonic() + REPORT_GRACE_S)
-    for proc in [core] + edge_procs:
+        start.abort()  # an edge still waiting to start would wait for one that failed
+        for end in stops:
+            with end, contextlib.suppress(OSError):  # its process may have gone
+                end.send(b"x")
+    reports = {} if failed else _gather(reports_q, procs, time.monotonic() + REPORT_GRACE_S)
+    for proc in procs:
         proc.join(timeout=5.0)
         if proc.is_alive():
             proc.terminate()
-    return _merge(reports)
+            proc.join()
+    missing = failed or [proc for proc in procs if proc.name not in reports]
+    if missing:
+        raise ConfigError("no report from " + ", ".join(
+            f"{proc.name} (exit code {proc.exitcode})" for proc in missing))
+    return _merge(list(reports.values()))
 
 
-def _gather(q, procs: list, deadline: float) -> list:
-    """One item from ``q`` per process of ``procs``, or fewer once the
-    deadline passes or every one of them has exited."""
-    items = []
+def _gather(q, procs: list, deadline: float) -> dict:
+    """``{process name: item}`` from ``q``, one item per process of
+    ``procs``, or fewer once the deadline passes or one of them has exited
+    without sending its item."""
+    items = {}
     while len(items) < len(procs) and time.monotonic() < deadline:
+        exited = [proc for proc in procs if proc.exitcode is not None]  # what these sent is in q now
         try:
-            items.append(q.get(timeout=1.0))
+            name, item = q.get(timeout=1.0)
+            items[name] = item
         except queue.Empty:
-            if not any(proc.is_alive() for proc in procs):
+            if any(proc.name not in items for proc in exited):
                 break
     return items
 
 
 def _merge(reports: list[RunReport]) -> RunReport:
     """The first report with every other one's results added in."""
-    if not reports:
-        raise ConfigError("no process of the run reported")
     merged, *rest = reports
     for report in rest:
         merged.records.extend(report.records)

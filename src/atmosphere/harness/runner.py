@@ -47,7 +47,7 @@ from ..errors import AtmosphereError, ConfigError
 from ..events import Event, encode_event
 from ..mqtt import Broker, MqttClient
 from ..nodes import CloudNode, EdgeNode, FogNode, UserNode, topics
-from ..transport import LogicalClock, Loop, TcpServer, WallClock, connect_tcp, every, make_queue_pair
+from ..transport import LogicalClock, Loop, TcpEndpoint, TcpServer, WallClock, connect_tcp, make_queue_pair
 from .config import RunDefaults, ScenarioConfig
 from .generators import EventFactory, emission_times_ms
 from .metrics import MetricsSink, RunReport
@@ -424,13 +424,13 @@ def _agent_timers(deployment: Deployment, edge: EdgeNode, duration_ms: int):
             return
 
 
-def _resends(deployment: Deployment, duration_ms: int):
-    """The broker's and hosted clients' QoS 1 re-sends at their due times; an
-    entry due sooner wakes the task (``on_resend``). With nothing in flight
-    it waits for the duration, and past the duration it ends."""
-    loop, rank = deployment.loop, deployment.loop.running
-    owners = [owner for owner in (deployment.broker, *deployment.clients) if owner is not None]
-    at_ms = duration_ms
+def resends(loop: Loop, owners: list, until_ms: float):
+    """QoS 1 re-sends of ``owners`` (brokers, clients) at their due times on
+    ``loop``'s clock; an entry due sooner wakes the task (``on_resend``).
+    With nothing in flight it waits for ``until_ms``, and past it it ends:
+    with ``until_ms`` infinite, it waits on."""
+    rank = loop.running
+    at_ms = until_ms
 
     def on_resend(due_ms: int) -> None:
         nonlocal at_ms
@@ -442,11 +442,11 @@ def _resends(deployment: Deployment, duration_ms: int):
         owner.on_resend = on_resend
     while True:
         yield at_ms
-        now_ms = deployment.clock()
-        at_ms = duration_ms if now_ms < duration_ms else float("inf")  # on_resend may lower it
+        now_ms = loop.clock()
+        at_ms = until_ms if now_ms < until_ms else float("inf")  # on_resend may lower it
         dues = [owner.tick(now_ms) for owner in owners]
         at_ms = min([at for at in dues if at is not None] + [at_ms])
-        if at_ms == float("inf"):
+        if at_ms == float("inf") and until_ms < at_ms:
             return
 
 
@@ -525,7 +525,7 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
 
     ``peers`` ties this process to the others of a split run:
     ``peers.ready()`` returns once this one may start sending, and after
-    ``peers.drained()`` the loop runs on until ``peers.stop`` is set.
+    ``peers.drained()`` the loop runs on until a byte reaches ``peers.stop``.
     """
     run, clock, loop = deployment.run, deployment.clock, deployment.loop
     virtual = run.clock == "event_time"
@@ -593,15 +593,17 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
             edge.on_event, edge.on_acl = on_event, on_acl
         for task in _tasks(deployment, sink, rate_override):
             loop.start(awaited(task))
-        loop.start(_resends(deployment, int(run.duration_s * 1000)))
+        owners = [owner for owner in (deployment.broker, *deployment.clients) if owner is not None]
+        loop.start(resends(loop, owners, int(run.duration_s * 1000)))
         if not virtual:
             loop.start(sample_cpu())
         loop.run_until(lambda: not sending or saturated, run.duration_s + 6.0)
         loop.run_until(drained, DRAIN_S)
         if peers is not None:
             peers.drained()
-            loop.start(every(clock, 50, lambda: None))  # a turn every 50 ms, to see the stop
-            loop.run_until(peers.stop.is_set)
+            stop = TcpEndpoint(peers.stop, loop, name="stop")
+            stop.on_receive = lambda data: stop.close()  # as EOF does
+            loop.run_until(lambda: stop.closed)
             loop.run_until(drained, DRAIN_S)
     finally:
         report = _collect(deployment, sink, run, cpu_samples, saturated)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from ..agents import (
     AclMessage,
     Agent,
+    BROADCAST,
     FogPublish,
     GatewayClient,
     OutboundAcl,
@@ -149,7 +150,7 @@ class EdgeNode:
             self.on_acl(message)
         receivers = (
             list(self.agents)
-            if message.receivers == "broadcast"
+            if message.receivers == BROADCAST
             else [r for r in message.receivers if r in self.agents]
         )
         for agent_id in receivers:

@@ -168,14 +168,6 @@ class Loop:
         self.selector.close()
 
 
-def every(clock, period_ms: float, callback: Callable[[], None]) -> Iterator[float]:
-    """A task that runs ``callback`` each time ``period_ms`` of ``clock``
-    have passed since its last run."""
-    while True:
-        yield clock.now + period_ms
-        callback()
-
-
 class Endpoint:
     """One end of a bidirectional link; ``loop`` runs it, ``None`` in a sync pair."""
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import inspect
+import itertools
 import json
+import math
 import random
 import shutil
 import time
@@ -19,9 +22,9 @@ from atmosphere.harness import (
 )
 from atmosphere.harness import runner as runner_mod
 from atmosphere.harness.generators import emission_times_ms
-from atmosphere.mqtt import MqttClient
+from atmosphere.mqtt import Broker, MqttClient
 from atmosphere.nodes import EdgeNode
-from atmosphere.transport import LogicalClock, WallClock
+from atmosphere.transport import LogicalClock, Loop, WallClock, make_queue_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -413,6 +416,44 @@ class TestResends:
         lateness = sorted(resend - (start + (ms + 1000) / 1000) for ms, resend in zip(opened, resends))
         assert lateness[0] >= 0
         assert lateness[len(lateness) // 2] < 0.002  # a host stall may delay one or two
+
+    def test_unbounded_task_waits_on_with_nothing_in_flight(self):
+        """The CLI broker's task has no horizon: idle, it waits on, and an
+        entry opened later wakes it at that entry's due time."""
+        loop = Loop(LogicalClock())
+        broker = Broker(clock=loop.clock)
+        pubacks = itertools.count(1)
+        forwards = []  # (clock, dup) of each PUBLISH the broker sends the subscriber
+
+        def lose_ack(data):  # the subscriber's first and third PUBACK
+            return data[0] >> 4 == 4 and next(pubacks) in (1, 3)
+
+        def forwarded(data):
+            if data[0] >> 4 == 3:
+                forwards.append((loop.clock.now, bool(data[0] & 0x08)))
+            return False
+
+        clients = []
+        for name, drops in (("sub", (lose_ack, forwarded)), ("pub", ())):
+            near, far = make_queue_pair(f"{name}-c", f"{name}-b", loop, *drops)
+            broker.attach(far)
+            clients.append(MqttClient(name, clock=loop.clock))
+            clients[-1].connect(near)
+        subscriber, publisher = clients
+        subscriber.subscribe([("a/b", 1)])
+        task = runner_mod.resends(loop, [broker], math.inf)
+        loop.start(task)
+        publisher.publish("a/b", b"first", qos=1)
+        assert loop.run_until(lambda: len(forwards) == 2)
+        assert forwards == [(0, False), (1000, True)]
+        # the DUP's ack arrives; at 2000 the task finds nothing in flight
+        assert loop.run_until(lambda: loop.clock.now == 2000)
+        assert inspect.getgeneratorstate(task) == inspect.GEN_SUSPENDED
+        loop.clock.set(5000)
+        publisher.publish("a/b", b"second", qos=1)
+        assert loop.run_until(lambda: len(forwards) == 4)
+        assert forwards[2:] == [(5000, False), (6000, True)]
+        loop.close()
 
     def test_loss_free_event_time_run_resends_nothing(self, bench, monkeypatch):
         sent = mqtt_links(monkeypatch)
@@ -843,6 +884,25 @@ class TestProcessesMode:
             # e1's simulator numbers 1..100, e2's 101..200, in every process
             assert sorted((r.round_trip_id, r.sent_at) for r in report.records) == rid_schedule((50, 50), 2)
 
+    def test_a_lost_process_fails_the_run(self, tmp_path, monkeypatch):
+        """An edge whose driver raises ends the run at once, without its
+        report, and no partial merge passes for the whole run."""
+        drive = runner_mod.drive
+
+        def drive_but_e2(deployment, *args):
+            if deployment.placement.edges == ("e2",):
+                raise RuntimeError("e2 cannot drive")
+            return drive(deployment, *args)
+
+        monkeypatch.setattr(runner_mod, "drive", drive_but_e2)  # the forked processes inherit it
+        started = time.monotonic()
+        with pytest.raises(ConfigError, match=r"no report from edge-e2 \(exit code 1\)$"):
+            run_scenario(bench_copy(tmp_path, 2),
+                         RunOverrides(rate=50, duration_s=1, qos=1, warmup_s=0,
+                                      clock="processing_time"),
+                         processes=True)
+        assert time.monotonic() - started < 15
+
     def test_event_time_with_processes_rejected(self, bench):
         with pytest.raises(ConfigError):
             run_scenario(bench, RunOverrides(clock="event_time"), processes=True)
@@ -893,7 +953,8 @@ class TestCli:
         rows = [json.loads(line) for line in result.output.splitlines()]
         assert any(r["stream"] == "SurveillanceUnit" for r in rows)
 
-    def test_broker_serves_until_sigterm(self):
+    @pytest.mark.parametrize("signum", ["SIGINT", "SIGTERM"])
+    def test_broker_serves_until_sigterm(self, signum):
         import os
         import signal
         import subprocess
@@ -920,7 +981,7 @@ class TestCli:
             publisher.publish("f1/in", b"to-the-command", qos=1)
             assert loop.run_until(lambda: inbox and publisher.inflight_count() == 0, 5.0)
             assert inbox == [("f1/in", b"to-the-command")]
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(getattr(signal, signum))
             assert proc.wait(timeout=5.0) == 0
         finally:
             loop.close()

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from atmosphere.mqtt import Broker, MqttClient
-from atmosphere.transport import LogicalClock, Loop, TcpServer, connect_tcp, every, make_queue_pair
+from atmosphere.transport import LogicalClock, Loop, TcpServer, connect_tcp, make_queue_pair
 
 
 class TestLoop:
@@ -63,17 +63,6 @@ class TestLoop:
         start = loop.clock.now
         assert loop.run_until(lambda: False, 0.05) is False
         assert 50 <= loop.clock.now - start < 1000
-        loop.close()
-
-    def test_every_counts_its_period_on_the_loop_clock(self):
-        loop = Loop()
-        fired = []
-        start = loop.clock.now
-        loop.start(every(loop.clock, 20, lambda: fired.append(loop.clock.now - start)))
-        loop.run_until(lambda: False, 0.1)
-        assert len(fired) >= 2
-        assert fired[0] >= 20
-        assert all(later - earlier >= 20 for earlier, later in zip(fired, fired[1:]))
         loop.close()
 
     def test_a_delivery_that_raises_is_logged_and_the_loop_goes_on(self, caplog):
