@@ -155,6 +155,11 @@ class GatewayClient:
         self._endpoint = endpoint
         endpoint.on_receive = self._feed
 
+    @property
+    def connected(self) -> bool:
+        """Whether it has a channel, and the channel is still open."""
+        return self._endpoint is not None and not self._endpoint.closed
+
     def register(self, agent_ids: list[str], at: int = 0) -> None:
         self.send(
             AclMessage(

@@ -5,27 +5,22 @@ over local TCP. Used by ``run --processes`` for wall-clock bench runs.
 Each process builds its part with :class:`.runner.Deployment` over ``tcp``
 links, placed by a :class:`.runner.Placement`, and runs it on one loop with
 :func:`.runner.drive`: the code above the transport is identical to the
-in-process driver. This module spawns the processes, hands the core's ports
-to the edges, sends each process its stop once every edge has drained, and
-merges the partial reports; a run that loses a process fails.
+in-process driver. This module spawns the processes, each with one pipe to
+the parent that carries all its messages, waits on those pipes and on the
+processes' exits, and merges the reports; a run that loses a process fails.
 """
 
 from __future__ import annotations
 
-import contextlib
-import logging
 import multiprocessing as mp
-import queue
-import socket
-import threading
+import selectors
 import time
+from multiprocessing.connection import wait
 
 from ..errors import ConfigError
 from . import runner
 from .config import RunDefaults, ScenarioConfig
 from .metrics import RunReport
-
-logger = logging.getLogger(__name__)
 
 STARTUP_TIMEOUT_S = 15.0
 # past the run's duration: the edges' drain (up to 10 s) and teardown
@@ -33,124 +28,139 @@ REPORT_GRACE_S = 30.0
 
 
 class _Peers:
-    """Ties one process of a split run to the others (see :func:`.runner.drive`).
+    """Ties one process of a split run to the others (see :func:`.runner.drive`)
+    by messages on ``conn``, its pipe to the parent; never by EOF, as the
+    processes forked later hold the parent's end too.
 
-    Every edge waits at ``start`` until all edges have subscribed, so that
-    none misses the first echoes of another on the shared fog output topic.
-    Every edge reports on ``drained_q`` once its own round trips have
-    drained, then stays connected until a byte reaches ``stop``, its socket:
-    the other edges' echoes keep reaching it until they have drained too.
-    The core only waits for ``stop``, in the selector of its routing loop.
+    Every edge says ``"ready"`` and waits for ``"start"``, sent once all
+    edges have subscribed, so that none misses the first echoes of another
+    on the shared fog output topic. Every edge says ``"drained"`` once its
+    own round trips have drained, then stays connected until ``"stop"``: the
+    other edges' echoes keep reaching it until they have drained too. The
+    core only waits for ``"stop"``.
     """
 
-    def __init__(self, stop, start=None, drained_q=None, label: str = "core"):
-        self.stop = stop
-        self.start = start
-        self.drained_q = drained_q
-        self.label = label
+    def __init__(self, conn, edge: bool):
+        self.conn = conn
+        self.edge = edge
+        self.stopping = False
 
     def ready(self) -> None:
-        if self.start is None:
-            return
+        if self.edge:
+            self.conn.send("ready")
+            if self.conn.recv() != "start":
+                raise ConfigError("the run stopped before it started")
+
+    def drained(self, loop) -> None:
+        """Run ``loop``, the pipe one more in its selector, until ``"stop"`` arrives."""
+        if self.edge:
+            self.conn.send("drained")
+        loop.selector.register(self.conn, selectors.EVENT_READ, self)
         try:
-            self.start.wait(STARTUP_TIMEOUT_S)
-        except threading.BrokenBarrierError:
-            logger.warning("%s: not every edge started; sending anyway", self.label)
+            loop.run_until(lambda: self.stopping)
+        finally:
+            loop.selector.unregister(self.conn)
+        self.conn.recv()
 
-    def drained(self) -> None:
-        if self.drained_q is not None:
-            self.drained_q.put((self.label, None))
+    def on_readable(self) -> None:
+        self.stopping = True
 
 
-def _host(config: ScenarioConfig, run: RunDefaults, rate_override, placement, ports_q,
-          peers: _Peers, reports_q) -> None:
+class _Lost(Exception):
+    """Raised with the processes that ended, or sent nothing, before their next message."""
+
+
+def _host(config: ScenarioConfig, run: RunDefaults, rate_override, placement, conn) -> None:
     """One process: build this placement's part, run it, send its report.
 
-    The core hands its ports over as soon as it serves them.
+    The core sends its ports as soon as it serves them.
     """
     deployment = runner.Deployment(config, run, placement)
     if placement.core:
-        ports_q.put(deployment.ports)
-    reports_q.put((peers.label, runner.drive(deployment, rate_override, peers)))
+        conn.send(deployment.ports)
+    conn.send(runner.drive(deployment, rate_override, _Peers(conn, edge=not placement.core)))
 
 
 def run_in_processes(config: ScenarioConfig, run: RunDefaults, rate_override) -> RunReport:
     """Run the split deployment and merge its reports. A process that ends
-    before its stop fails the run at once: the others are stopped, and a
-    :class:`ConfigError` names each process that ended early or else did
-    not report, with its exit code."""
+    before its report, or that is not ready in ``STARTUP_TIMEOUT_S``, fails
+    the run at once: the others are stopped, and a :class:`ConfigError`
+    names each process at fault, with its exit code."""
     if config.timeline:
         raise ConfigError("scripted timelines need an in-process run")
     ctx = mp.get_context("fork")
-    start = ctx.Barrier(max(1, len(config.edges)))  # a barrier needs a party
-    ports_q = ctx.Queue()
-    drained_q = ctx.Queue()
-    reports_q = ctx.Queue()
-    stops = []  # the parent's end of each process's stop pair
+    pipes = {}  # each process's pipe, the parent's end
 
-    def spawn(name: str, placement: runner.Placement, *shared):
-        ours, theirs = socket.socketpair()
-        stops.append(ours)
-        peers = _Peers(theirs, *shared, label=name)
-        proc = ctx.Process(
-            target=_host,
-            args=(config, run, rate_override, placement, ports_q, peers, reports_q),
-            name=name,
-        )
+    def spawn(name: str, placement: runner.Placement):
+        ours, theirs = ctx.Pipe()
+        proc = ctx.Process(target=_host, args=(config, run, rate_override, placement, theirs), name=name)
         proc.start()
         theirs.close()
+        pipes[proc] = ours
         return proc
 
     core = spawn("core", runner.Placement(edges=()))
+    lost = []
     try:
-        ports = ports_q.get(timeout=STARTUP_TIMEOUT_S)
-    except queue.Empty:
-        core.terminate()
-        stops[0].close()
-        raise ConfigError("core process failed to start") from None
-    procs = [core] + [
-        spawn(f"edge-{edge_cfg.id}",
-              runner.Placement(core=False, edges=(edge_cfg.id,), core_ports=ports),
-              start, drained_q)
-        for edge_cfg in config.edges
-    ]
-
-    deadline = time.monotonic() + run.duration_s + REPORT_GRACE_S
-    try:
-        _gather(drained_q, procs[1:], deadline)
-        failed = [proc for proc in procs if proc.exitcode is not None]  # none ends before its stop
+        ports = _receive(pipes, [core], STARTUP_TIMEOUT_S)[core]
+        edges = [spawn(f"edge-{edge.id}", runner.Placement(core=False, edges=(edge.id,), core_ports=ports))
+                 for edge in config.edges]
+        _receive(pipes, edges, STARTUP_TIMEOUT_S)  # "ready"
+        _tell(pipes, edges, "start")
+        _receive(pipes, edges, run.duration_s + REPORT_GRACE_S)  # "drained"
+        _tell(pipes, pipes, "stop")
+        reports = _receive(pipes, list(pipes), REPORT_GRACE_S, last=True)
+    except _Lost as exc:
+        lost = exc.args[0]
+        _tell(pipes, pipes, "stop")  # an edge waiting to start raises instead
     finally:
-        start.abort()  # an edge still waiting to start would wait for one that failed
-        for end in stops:
-            with end, contextlib.suppress(OSError):  # its process may have gone
-                end.send(b"x")
-    reports = {} if failed else _gather(reports_q, procs, time.monotonic() + REPORT_GRACE_S)
-    for proc in procs:
-        proc.join(timeout=5.0)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join()
-    missing = failed or [proc for proc in procs if proc.name not in reports]
-    if missing:
+        for proc, pipe in pipes.items():
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+            pipe.close()
+    if lost:
         raise ConfigError("no report from " + ", ".join(
-            f"{proc.name} (exit code {proc.exitcode})" for proc in missing))
-    return _merge(list(reports.values()))
+            f"{proc.name} (exit code {proc.exitcode})" for proc in lost))
+    return _merge([reports[proc] for proc in pipes])
 
 
-def _gather(q, procs: list, deadline: float) -> dict:
-    """``{process name: item}`` from ``q``, one item per process of
-    ``procs``, or fewer once the deadline passes or one of them has exited
-    without sending its item."""
-    items = {}
-    while len(items) < len(procs) and time.monotonic() < deadline:
-        exited = [proc for proc in procs if proc.exitcode is not None]  # what these sent is in q now
+def _tell(pipes: dict, procs, message: str) -> None:
+    for proc in procs:
         try:
-            name, item = q.get(timeout=1.0)
-            items[name] = item
-        except queue.Empty:
-            if any(proc.name not in items for proc in exited):
-                break
-    return items
+            pipes[proc].send(message)
+        except OSError:  # its process has gone
+            pass
+
+
+def _receive(pipes: dict, awaited: list, timeout_s: float, last: bool = False) -> dict:
+    """``{process: message}``, the next message from each process of
+    ``awaited``, waiting on their pipes and on every process's exit. Raises
+    :class:`_Lost` once the timeout passes, or once a process ends before its
+    next message (with ``last``, the last it sends)."""
+    deadline = time.monotonic() + timeout_s
+    messages = {}
+    while len(messages) < len(awaited):
+        waiting = [proc for proc in awaited if proc not in messages]
+        live = [proc for proc in pipes if not (last and proc in messages)]
+        ready = wait([pipes[proc] for proc in waiting] + [proc.sentinel for proc in live],
+                     max(deadline - time.monotonic(), 0.0))
+        if not ready:
+            raise _Lost(waiting)
+        for proc in waiting:  # what a process sent before it ended is ready with its sentinel
+            if pipes[proc] in ready:
+                try:
+                    messages[proc] = pipes[proc].recv()
+                except EOFError:  # it ended without sending
+                    pass
+        ended = [proc for proc in live if (pipes[proc] in ready and proc not in messages)
+                 or (proc.sentinel in ready and not (last and proc in messages))]
+        if ended:
+            for proc in ended:
+                proc.join()  # a sentinel fires a moment before its process can be reaped
+            raise _Lost(ended)
+    return messages
 
 
 def _merge(reports: list[RunReport]) -> RunReport:

@@ -47,7 +47,7 @@ from ..errors import AtmosphereError, ConfigError
 from ..events import Event, encode_event
 from ..mqtt import Broker, MqttClient
 from ..nodes import CloudNode, EdgeNode, FogNode, UserNode, topics
-from ..transport import LogicalClock, Loop, TcpEndpoint, TcpServer, WallClock, connect_tcp, make_queue_pair
+from ..transport import LogicalClock, Loop, TcpServer, WallClock, connect_tcp, make_queue_pair
 from .config import RunDefaults, ScenarioConfig
 from .generators import EventFactory, emission_times_ms
 from .metrics import MetricsSink, RunReport
@@ -520,12 +520,14 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
     """Run ``deployment`` on its loop and report on the nodes it hosts: the
     engine boundaries and the input tasks, each input due at, and stamped
     with, its offset from the clock origin, and the QoS 1 re-sends; then the
-    wait for in-flight round trips and acks. On a virtual clock the run ends
-    once nothing is left to run, and the CPU sample stays out.
+    wait for in-flight round trips and acks, which ends early once every
+    hosted edge's probe link (its broker client, or its gateway channel in
+    agents-only mode) has closed. On a virtual clock the run ends once
+    nothing is left to run, and the CPU sample stays out.
 
     ``peers`` ties this process to the others of a split run:
-    ``peers.ready()`` returns once this one may start sending, and after
-    ``peers.drained()`` the loop runs on until a byte reaches ``peers.stop``.
+    ``peers.ready()`` returns once this one may start sending, and
+    ``peers.drained(loop)`` runs the loop on until the parent stops it.
     """
     run, clock, loop = deployment.run, deployment.clock, deployment.loop
     virtual = run.clock == "event_time"
@@ -534,6 +536,8 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
     saturated = False
     late_at = None  # the first of the latest resumes in a row over SATURATION_LAG_MS late
     sending = 0  # tasks not yet ended
+    probes = [edge.gateway_client if run.mode == "agents-only" else edge.broker_client
+              for edge in deployment.edges.values()]
 
     def awaited(task):
         """``task``, counted in ``sending`` until it ends; saturation or a
@@ -582,9 +586,10 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
         if isinstance(rid, int):
             sink.received(rid, clock())
 
-    def drained() -> bool:
-        return saturated or (not loop.ready and sink.in_flight == 0
-                             and all(c.inflight_count() == 0 for c in deployment.clients))
+    def drained() -> bool:  # or nothing in flight can complete
+        return saturated or (bool(probes) and not any(probe.connected for probe in probes)) or (
+            not loop.ready and sink.in_flight == 0
+            and all(c.inflight_count() == 0 for c in deployment.clients))
 
     try:
         if peers is not None:
@@ -600,10 +605,7 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
         loop.run_until(lambda: not sending or saturated, run.duration_s + 6.0)
         loop.run_until(drained, DRAIN_S)
         if peers is not None:
-            peers.drained()
-            stop = TcpEndpoint(peers.stop, loop, name="stop")
-            stop.on_receive = lambda data: stop.close()  # as EOF does
-            loop.run_until(lambda: stop.closed)
+            peers.drained(loop)
             loop.run_until(drained, DRAIN_S)
     finally:
         report = _collect(deployment, sink, run, cpu_samples, saturated)

@@ -4,9 +4,12 @@ import inspect
 import itertools
 import json
 import math
+import os
 import random
 import shutil
+import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -854,7 +857,17 @@ class TestEdgePumping:
 
 
 class TestProcessesMode:
-    def test_short_run_over_tcp(self, bench):
+    def test_short_run_over_tcp(self, bench, monkeypatch):
+        """Every process of the split run runs on one thread, to the end."""
+        drive = runner_mod.drive
+
+        def drive_on_one_thread(*args):
+            report = drive(*args)
+            threads = [thread.name for thread in threading.enumerate()]
+            assert threading.active_count() == 1, threads
+            return report
+
+        monkeypatch.setattr(runner_mod, "drive", drive_on_one_thread)  # the forked processes inherit it
         report = run_scenario(
             bench,
             RunOverrides(rate=30, duration_s=2, qos=1, warmup_s=0, clock="processing_time"),
@@ -869,18 +882,20 @@ class TestProcessesMode:
 
     def test_two_edges_count_every_echo(self, tmp_path):
         """Each edge gets every echo on the shared fog output topic, its own
-        and the other edge's, so none may leave before the other has drained."""
+        and the other edge's, so none may leave before the other has drained.
+        Every placement, under either clock, counts the same."""
         config = bench_copy(tmp_path, 2)
         overrides = RunOverrides(rate=50, duration_s=2, qos=1, mode="full", warmup_s=0,
                                  clock="processing_time")
-        in_process = run_scenario(config, overrides)
-        assert in_process.round_trips["completed"] == 200
-        assert in_process.counters["publish"] == in_process.counters["puback"] == 600
-        for _ in range(3):
-            report = run_scenario(config, overrides, processes=True)
-            assert report.round_trips["completed"] == 200
-            assert report.counters["publish"] == in_process.counters["publish"]
-            assert report.counters["puback"] == in_process.counters["puback"]
+        event_time = run_scenario(config, replace(overrides, clock="event_time"))
+        assert event_time.round_trips == {"initiated": 200, "completed": 200, "in_flight": 0,
+                                          "dead_lettered": 0}
+        assert event_time.counters == {"publish": 600, "puback": 600, "acl": 4}
+        runs = [run_scenario(config, overrides)]
+        runs += [run_scenario(config, overrides, processes=True) for _ in range(3)]
+        for report in [event_time] + runs:
+            assert report.round_trips == event_time.round_trips
+            assert report.counters == event_time.counters
             # e1's simulator numbers 1..100, e2's 101..200, in every process
             assert sorted((r.round_trip_id, r.sent_at) for r in report.records) == rid_schedule((50, 50), 2)
 
@@ -901,7 +916,28 @@ class TestProcessesMode:
                          RunOverrides(rate=50, duration_s=1, qos=1, warmup_s=0,
                                       clock="processing_time"),
                          processes=True)
-        assert time.monotonic() - started < 15
+        assert time.monotonic() - started < 5
+
+    def test_a_lost_core_fails_the_run(self, tmp_path, monkeypatch):
+        """A core that dies mid-run ends the run at once: the edges' links to
+        it close, so they stop waiting for round trips that cannot complete."""
+        tasks = runner_mod._tasks
+
+        def tasks_and_a_crash(deployment, *args):
+            def crash():
+                yield 500
+                os._exit(3)
+
+            return tasks(deployment, *args) + ([crash()] if deployment.placement.core else [])
+
+        monkeypatch.setattr(runner_mod, "_tasks", tasks_and_a_crash)  # the forked processes inherit it
+        started = time.monotonic()
+        with pytest.raises(ConfigError, match=r"no report from core \(exit code 3\)$"):
+            run_scenario(bench_copy(tmp_path, 2),
+                         RunOverrides(rate=50, duration_s=2, qos=1, warmup_s=0,
+                                      clock="processing_time"),
+                         processes=True)
+        assert time.monotonic() - started < 5
 
     def test_event_time_with_processes_rejected(self, bench):
         with pytest.raises(ConfigError):
