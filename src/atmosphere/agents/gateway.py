@@ -177,7 +177,7 @@ class GatewayClient:
             self._endpoint.close()
 
     def send(self, message: AclMessage, count: bool = True) -> None:
-        if self._endpoint is None:
+        if not self.connected:
             raise GatewayError(f"{self.node_id}: gateway channel not connected")
         if count:
             self.counters["acl_sent"] += 1

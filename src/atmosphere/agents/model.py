@@ -61,7 +61,8 @@ def encode_acl(message: AclMessage) -> bytes:
 def decode_acl_body(body: bytes) -> AclMessage:
     """Decode one frame body, or raise PayloadError if it is not a valid
     message: a known performative, a string sender, a non-empty list of
-    string receivers or the broadcast marker, and an object content."""
+    string receivers or the broadcast marker, an object content and a
+    non-negative integer ``sent_at``."""
     try:
         doc = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -73,8 +74,8 @@ def decode_acl_body(body: bytes) -> AclMessage:
         sender = doc["sender"]
         receivers = doc["receivers"]
         content = doc["content"]
-        sent_at = int(doc["sent_at"])
-    except (KeyError, TypeError, ValueError) as exc:
+        sent_at = doc["sent_at"]
+    except KeyError as exc:
         raise PayloadError(f"bad ACL frame: {exc}") from None
     if performative not in PERFORMATIVES:
         raise PayloadError(f"unknown performative {performative!r}")
@@ -88,6 +89,8 @@ def decode_acl_body(body: bytes) -> AclMessage:
         receivers = tuple(receivers)
     if not isinstance(content, dict):
         raise PayloadError("ACL content must be an object")
+    if not isinstance(sent_at, int) or isinstance(sent_at, bool) or sent_at < 0:
+        raise PayloadError("ACL sent_at must be a non-negative integer")
     return AclMessage(performative, sender, receivers, content, sent_at)
 
 

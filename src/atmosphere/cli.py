@@ -84,7 +84,7 @@ def broker(host, port):
     from .transport import Loop, TcpServer
 
     loop = Loop()
-    core = Broker(clock=loop.clock)
+    core = Broker()
     try:
         server = TcpServer(host, port, core.attach, loop)
     except AtmosphereError as exc:

@@ -33,7 +33,6 @@ GENERATOR_KINDS = ("constant", "uniform_int", "choice", "bernoulli", "sequence")
 class FogConfig:
     id: str
     patterns: tuple = ()
-    pattern_files: tuple = ()
     extra_inputs: tuple = ()
 
 
@@ -41,7 +40,6 @@ class FogConfig:
 class CloudConfig:
     id: str
     patterns: tuple = ()
-    pattern_files: tuple = ()
     sources: tuple = ()
     transformers: tuple = ()
     sinks: tuple = ()
@@ -154,9 +152,8 @@ def _parse_schemas(doc: dict, path: str) -> list[EventSchema]:
     return schemas
 
 
-def _load_pattern_files(files, base_dir: Path, path: str) -> tuple[list[PatternDef], tuple]:
+def _load_pattern_files(files, base_dir: Path, path: str) -> list[PatternDef]:
     patterns: list[PatternDef] = []
-    resolved = []
     for i, name in enumerate(files):
         file_path = base_dir / name
         if not file_path.is_file():
@@ -165,8 +162,7 @@ def _load_pattern_files(files, base_dir: Path, path: str) -> tuple[list[PatternD
             patterns.extend(parse_patterns(file_path.read_text("utf-8")))
         except AtmosphereError as exc:
             raise ConfigError(f"{name}: {exc}", f"{path}/{i}") from None
-        resolved.append(str(file_path))
-    return patterns, tuple(resolved)
+    return patterns
 
 
 def _parse_generator(doc: dict, path: str) -> dict:
@@ -233,7 +229,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     for i, fog_doc in enumerate(topology.get("fogs", [])):
         fog_path = f"/topology/fogs/{i}"
         fog_id = claim(_req(fog_doc, "id", fog_path, str), fog_path)
-        patterns, files = _load_pattern_files(
+        patterns = _load_pattern_files(
             fog_doc.get("patterns", []), base_dir, f"{fog_path}/patterns"
         )
         for pattern in patterns:
@@ -246,7 +242,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             FogConfig(
                 id=fog_id,
                 patterns=tuple(patterns),
-                pattern_files=files,
                 extra_inputs=tuple(
                     parse_topic(validate_topic_filter, topic, f"{fog_path}/extra_inputs/{j}")
                     for j, topic in enumerate(fog_doc.get("extra_inputs", []))
@@ -258,7 +253,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     for i, cloud_doc in enumerate(topology.get("clouds", [])):
         cloud_path = f"/topology/clouds/{i}"
         cloud_id = claim(_req(cloud_doc, "id", cloud_path, str), cloud_path)
-        patterns, files = _load_pattern_files(
+        patterns = _load_pattern_files(
             cloud_doc.get("patterns", []), base_dir, f"{cloud_path}/patterns"
         )
         transformers = []
@@ -329,7 +324,6 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             CloudConfig(
                 id=cloud_id,
                 patterns=tuple(patterns),
-                pattern_files=files,
                 sources=tuple(sources),
                 transformers=tuple(transformers),
                 sinks=tuple(sinks),

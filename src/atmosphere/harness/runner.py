@@ -147,7 +147,7 @@ class Deployment:
         # startup order: broker first, then fog (gateway + engine), cloud,
         # edges, finally user clients
         if placement.core:
-            self.broker = Broker(clock=clock)
+            self.broker = Broker()
             if link == "tcp":
                 self.ports = {"broker": self._serve(self.broker.attach), "gateways": {}}
             for fog_cfg in config.fogs:
@@ -223,7 +223,7 @@ class Deployment:
         else:
             endpoint, far = make_queue_pair(f"{client_id}-c", f"{client_id}-b", self.loop)
             self.broker.attach(far)
-        client = MqttClient(client_id, clock=self.clock)
+        client = MqttClient(client_id)
         client.connect(endpoint)
         self.clients.append(client)
         return client
@@ -520,7 +520,7 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
     """Run ``deployment`` on its loop and report on the nodes it hosts: the
     engine boundaries and the input tasks, each input due at, and stamped
     with, its offset from the clock origin, and the QoS 1 re-sends; then the
-    wait for in-flight round trips and acks, which ends early once every
+    wait for in-flight round trips and acks. Both end early once every
     hosted edge's probe link (its broker client, or its gateway channel in
     agents-only mode) has closed. On a virtual clock the run ends once
     nothing is left to run, and the CPU sample stays out.
@@ -586,8 +586,11 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
         if isinstance(rid, int):
             sink.received(rid, clock())
 
+    def cut_off() -> bool:  # every hosted edge's probe link has closed
+        return bool(probes) and not any(probe.connected for probe in probes)
+
     def drained() -> bool:  # or nothing in flight can complete
-        return saturated or (bool(probes) and not any(probe.connected for probe in probes)) or (
+        return saturated or cut_off() or (
             not loop.ready and sink.in_flight == 0
             and all(c.inflight_count() == 0 for c in deployment.clients))
 
@@ -602,7 +605,7 @@ def drive(deployment: Deployment, rate_override, peers=None) -> RunReport:
         loop.start(resends(loop, owners, int(run.duration_s * 1000)))
         if not virtual:
             loop.start(sample_cpu())
-        loop.run_until(lambda: not sending or saturated, run.duration_s + 6.0)
+        loop.run_until(lambda: not sending or saturated or cut_off(), run.duration_s + 6.0)
         loop.run_until(drained, DRAIN_S)
         if peers is not None:
             peers.drained(loop)

@@ -10,8 +10,9 @@ Delivery ordering: per-connection FIFO holds for QoS 0; QoS 1 re-deliveries
 publishes.
 
 Each session keeps its unacked QoS 1 forwards in an :class:`Inflight`, the
-helper the client uses too; :meth:`Broker.tick` re-sends the due ones, and
-drops a session whose due re-send has no retries left.
+helper the client uses too, each stamped with the clock of its link's loop;
+:meth:`Broker.tick` re-sends the ones due at the time it is given, and drops
+a session whose due re-send has no retries left.
 
 Routes are cached per topic and emptied on every change that can alter a
 match: attach, CONNECT, SUBSCRIBE, internal subscribe and drop.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import AtmosphereError, MqttProtocolError
-from ..transport import Endpoint, WallClock
+from ..transport import Endpoint
 from .packets import (
     ConnAck,
     Connect,
@@ -131,12 +132,10 @@ class Broker:
 
     def __init__(
         self,
-        clock: Callable[[], int] | None = None,
         retry_timeout_ms: int = DEFAULT_RETRY_TIMEOUT_MS,
         max_retries: int = DEFAULT_MAX_RETRIES,
         connect_hook: Callable[[str], bool] | None = None,
     ):
-        self._clock = WallClock() if clock is None else clock
         self.retry_timeout_ms = retry_timeout_ms
         self.max_retries = max_retries
         # Security hook stub: return False to refuse a client id. Transport
@@ -209,6 +208,10 @@ class Broker:
             self.counters["puback_in"] += 1
             session.inflight.pop(packet.packet_id, None)
         elif isinstance(packet, Connect):
+            if session.connected:  # MQTT 3.1.1 section 3.1.0-2: a protocol violation
+                logger.warning("second CONNECT from %s; dropping connection", session.client_id)
+                self._drop(session)
+                return
             if self.connect_hook is not None and not self.connect_hook(packet.client_id):
                 self._send(session, ConnAck(return_code=5))  # not authorized
                 self._drop(session)
@@ -267,16 +270,17 @@ class Broker:
                     shared = Publish(publish.topic, publish.payload)
                 data = self._send(subscriber, shared, data)
             else:
-                forward = subscriber.inflight.open(publish.topic, publish.payload, now := self._clock())
+                now = subscriber.endpoint.loop.clock()
+                forward = subscriber.inflight.open(publish.topic, publish.payload, now)
                 self.on_resend(now + self.retry_timeout_ms)
                 self._send(subscriber, forward)
 
-    def tick(self, now_ms: int | None = None) -> int | None:
-        """Drive QoS 1 retransmission; returns the next re-send's due time, or None."""
-        now = self._clock() if now_ms is None else now_ms
+    def tick(self, now_ms: int) -> int | None:
+        """Drive QoS 1 retransmission at ``now_ms``; returns the next
+        re-send's due time, or None."""
         for session in list(self._sessions):
             resends, exhausted = session.inflight.due(
-                now, self.retry_timeout_ms, self.max_retries
+                now_ms, self.retry_timeout_ms, self.max_retries
             )
             if exhausted:
                 logger.warning("dropping %s: retries exhausted", session.client_id)
@@ -348,6 +352,7 @@ class Broker:
         self._routes.clear()
 
     def _drop(self, session: Session) -> None:
+        session.buffer.clear()  # ``feed`` handles nothing more from it
         self._on_endpoint_closed(session)
         if session.endpoint is not None:
             session.endpoint.close()

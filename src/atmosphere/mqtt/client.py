@@ -1,11 +1,12 @@
 """Broker client used by edge, cloud and user nodes.
 
 Shares the broker's at-least-once bookkeeping (:class:`.broker.Inflight`) on
-the outbound side: QoS 1 publishes stay in flight until acked and are re-sent
-with the dup flag by :meth:`MqttClient.tick`; one whose retries run out is
-given up, and so is all in flight once the link closes. Packet counters live
-here because round-trip accounting in the harness is measured from the
-node's perspective.
+the outbound side: QoS 1 publishes, stamped with the clock of the link's
+loop, stay in flight until acked and are re-sent with the dup flag by
+:meth:`MqttClient.tick`; one whose retries run out is given up, and so is
+all in flight once the link closes. Packet counters live here because
+round-trip accounting in the harness is measured from the node's
+perspective.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import logging
 from typing import Callable
 
 from ..errors import AtmosphereError, TransportError
-from ..transport import Endpoint, WallClock
+from ..transport import Endpoint
 from .broker import DEFAULT_MAX_RETRIES, DEFAULT_RETRY_TIMEOUT_MS, Inflight
 from .packets import (
     ConnAck,
@@ -35,12 +36,10 @@ class MqttClient:
     def __init__(
         self,
         client_id: str,
-        clock: Callable[[], int] | None = None,
         retry_timeout_ms: int = DEFAULT_RETRY_TIMEOUT_MS,
         max_retries: int = DEFAULT_MAX_RETRIES,
     ):
         self.client_id = client_id
-        self._clock = WallClock() if clock is None else clock
         self.retry_timeout_ms = retry_timeout_ms
         self.max_retries = max_retries
         self._endpoint: Endpoint | None = None
@@ -66,14 +65,14 @@ class MqttClient:
         endpoint.on_receive = self._feed
         endpoint.on_close = self._closed
         self._send(Connect(client_id=self.client_id, keep_alive_s=keep_alive_s))
-        if not endpoint.wait_until(lambda: self._connected, timeout_s):
+        if not endpoint.loop.run_until(lambda: self._connected, timeout_s):
             raise TransportError(f"{self.client_id}: no CONNACK within {timeout_s}s")
 
     def subscribe(self, filters: list[tuple[str, int]], timeout_s: float = 5.0) -> None:
         pid = self.inflight.allocate_packet_id(self._pending_subacks)
         self._pending_subacks.add(pid)
         self._send(Subscribe(packet_id=pid, filters=tuple(filters)))
-        if not self._endpoint.wait_until(lambda: pid not in self._pending_subacks, timeout_s):
+        if not self._endpoint.loop.run_until(lambda: pid not in self._pending_subacks, timeout_s):
             raise TransportError(f"{self.client_id}: no SUBACK within {timeout_s}s")
 
     def publish(self, topic: str, payload: bytes, qos: int = 0) -> int | None:
@@ -84,16 +83,17 @@ class MqttClient:
             self.counters["publish_sent"] += 1
             self._send(Publish(topic=topic, payload=payload, qos=0))
             return None
-        publish = self.inflight.open(topic, payload, now := self._clock(), self._pending_subacks)
+        now = self._endpoint.loop.clock()
+        publish = self.inflight.open(topic, payload, now, self._pending_subacks)
         self.on_resend(now + self.retry_timeout_ms)
         self.counters["publish_sent"] += 1
         self._send(publish)
         return publish.packet_id
 
-    def tick(self, now_ms: int | None = None) -> int | None:
-        """Re-send the QoS 1 publishes past the retry timeout; the next due time, or None."""
-        now = self._clock() if now_ms is None else now_ms
-        resends, exhausted = self.inflight.due(now, self.retry_timeout_ms, self.max_retries)
+    def tick(self, now_ms: int) -> int | None:
+        """Re-send the QoS 1 publishes past the retry timeout at ``now_ms``;
+        the next due time, or None."""
+        resends, exhausted = self.inflight.due(now_ms, self.retry_timeout_ms, self.max_retries)
         for pid in exhausted:
             logger.warning("%s: giving up on publish %d", self.client_id, pid)
             del self.inflight[pid]

@@ -246,7 +246,10 @@ class EdgeNode:
                 if self.gateway_client is None:
                     self.dead_letters.append(f"{agent.id}: no gateway attached")
                     continue
-                self.gateway_client.send(effect.message)
+                try:
+                    self.gateway_client.send(effect.message)
+                except AtmosphereError as exc:  # a closed gateway channel
+                    self.dead_letters.append(f"{agent.id}: gateway send failed: {exc}")
             elif isinstance(effect, FogPublish):
                 if self.broker_client is None:
                     self.dead_letters.append(f"{agent.id}: no broker attached")

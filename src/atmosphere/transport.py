@@ -1,24 +1,23 @@
 """Byte-stream links between nodes, the loop that runs them, and the
 process's one clock.
 
-The harness links nodes in one of two ways, each run by a :class:`Loop`:
+Every link lives on a :class:`Loop`, of one of two kinds:
 :func:`make_queue_pair`, in-process, each send queued on the loop, under
-either clock; or :class:`TcpServer` / :func:`connect_tcp`, plain TCP,
-between the processes of a split run. :func:`make_sync_pair`, which
-delivers inside the sender's call, is for protocol tests only, optionally
-with seeded packet loss.
+either clock, optionally with seeded packet loss; or :class:`TcpServer` /
+:func:`connect_tcp`, plain TCP, between the processes of a split run.
 
 A process counts time on one clock, in milliseconds: a :class:`LogicalClock`
 in event time, which stands still until the loop moves it to its next
 timer, or a :class:`WallClock` in processing time, the milliseconds since
 its start. The loop keys its timers in that clock's ms, and the tasks and
-nodes read the same clock.
+nodes read the same clock, the broker and its clients through their
+endpoints' ``loop``.
 
 Nothing in the package is thread-safe, these endpoints included: each
 process runs every node it hosts, and their links, on one thread.
-Endpoints expose ``send(bytes)``, an ``on_receive`` callback slot,
-``wait_until`` and ``close()``. Framing is the caller's concern (MQTT
-packets are self-delimiting; the gateway uses a 4-byte length prefix).
+Endpoints expose ``send(bytes)``, an ``on_receive`` callback slot, their
+``loop`` and ``close()``. Framing is the caller's concern (MQTT packets are
+self-delimiting; the gateway uses a 4-byte length prefix).
 """
 
 from __future__ import annotations
@@ -169,9 +168,10 @@ class Loop:
 
 
 class Endpoint:
-    """One end of a bidirectional link; ``loop`` runs it, ``None`` in a sync pair."""
+    """One end of a bidirectional link, run by ``loop``: what it receives
+    arrives through the loop's ready deque."""
 
-    loop: Loop | None = None
+    loop: Loop
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -185,13 +185,6 @@ class Endpoint:
 
     def send(self, data: bytes) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def wait_until(self, condition: Callable[[], bool], timeout_s: float) -> bool:
-        """Run this endpoint's loop until ``condition()`` holds; false once
-        ``timeout_s`` passes. A sync endpoint has delivered already."""
-        if self.loop is None:
-            return condition()
-        return self.loop.run_until(condition, timeout_s)
 
     def close(self) -> None:
         if self._closed:
@@ -209,11 +202,10 @@ class Endpoint:
 
 
 class _PairEndpoint(Endpoint):
-    """One end of an in-process pair: a send reaches the peer at once, or
-    through ``loop``'s ready deque when there is one."""
+    """One end of an in-process pair: a send reaches the peer through
+    ``loop``'s ready deque, unless ``drop`` says it is lost."""
 
-    def __init__(self, name: str, loop: Loop | None = None,
-                 drop: Callable[[bytes], bool] | None = None):
+    def __init__(self, name: str, loop: Loop, drop: Callable[[bytes], bool] | None = None):
         super().__init__(name)
         self.loop = loop
         self.peer: _PairEndpoint | None = None
@@ -224,10 +216,7 @@ class _PairEndpoint(Endpoint):
             return
         if self._drop is not None and self._drop(data):
             return
-        if self.loop is None:
-            self.peer._deliver(data)
-        else:
-            self.loop.ready.append((self.peer, data))
+        self.loop.ready.append((self.peer, data))
 
     def close(self) -> None:
         peer = self.peer
@@ -236,20 +225,10 @@ class _PairEndpoint(Endpoint):
             peer.close()
 
 
-def make_sync_pair(
-    name_a: str = "a",
-    name_b: str = "b",
-    drop_a_to_b: Callable[[bytes], bool] | None = None,
-    drop_b_to_a: Callable[[bytes], bool] | None = None,
-) -> tuple[Endpoint, Endpoint]:
-    """Synchronous in-process pair; ``drop_*`` hooks inject packet loss."""
-    return make_queue_pair(name_a, name_b, None, drop_a_to_b, drop_b_to_a)
-
-
-def make_queue_pair(name_a: str, name_b: str, loop: Loop | None,
+def make_queue_pair(name_a: str, name_b: str, loop: Loop,
                     drop_a_to_b=None, drop_b_to_a=None) -> tuple[Endpoint, Endpoint]:
-    """In-process pair whose sends wait in ``loop``'s ready deque; without
-    a loop, a sync pair."""
+    """In-process pair whose sends wait in ``loop``'s ready deque;
+    ``drop_*`` hooks inject packet loss."""
     a = _PairEndpoint(name_a, loop, drop_a_to_b)
     b = _PairEndpoint(name_b, loop, drop_b_to_a)
     a.peer, b.peer = b, a

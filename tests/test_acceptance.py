@@ -22,8 +22,9 @@ from atmosphere.harness.runner import Deployment, resolve_run
 from atmosphere.mqtt import MqttClient, decode_packet, encode_packet
 from atmosphere.mqtt.broker import Broker
 from atmosphere.patterns import Duration, parse_pattern, print_pattern
-from atmosphere.transport import make_sync_pair
+from atmosphere.transport import LogicalClock, Loop, make_queue_pair
 
+from . import links
 from .cep_random import SPAN_MS, generate_log, random_registry
 from .listings import LISTING_ORDER, LISTING_TEXTS
 from .test_harness import settle
@@ -157,14 +158,6 @@ def test_criterion_3_hospital_end_to_end():
         assert first.round_trips["dead_lettered"] == 0
 
 
-class _VirtualClock:
-    def __init__(self):
-        self.now = 0
-
-    def __call__(self):
-        return self.now
-
-
 def test_criterion_4_broker_protocol():
     with criterion(4, "broker-protocol", budget_s=60.0):
         # golden byte vectors
@@ -183,50 +176,56 @@ def test_criterion_4_broker_protocol():
         round_trip()
 
         # at-least-once under 30% loss, 1000 qos-1 publishes
-        clock = _VirtualClock()
+        loop = Loop(LogicalClock())
+        clock = loop.clock
         rng = random.Random(20210612)
         max_retries, retry_timeout = 40, 100
-        broker = Broker(clock=clock, retry_timeout_ms=retry_timeout, max_retries=max_retries)
+        broker = Broker(retry_timeout_ms=retry_timeout, max_retries=max_retries)
         lossy = lambda _data: rng.random() < 0.30  # noqa: E731
-        pub_end, pub_broker = make_sync_pair(drop_a_to_b=lossy, drop_b_to_a=lossy)
-        sub_end, sub_broker = make_sync_pair(drop_a_to_b=lossy, drop_b_to_a=lossy)
-        broker.attach(pub_broker)
-        broker.attach(sub_broker)
-        publisher = MqttClient("pub", clock=clock, retry_timeout_ms=retry_timeout, max_retries=max_retries)
-        subscriber = MqttClient("sub", clock=clock, retry_timeout_ms=retry_timeout, max_retries=max_retries)
-        for client, endpoint in ((publisher, pub_end), (subscriber, sub_end)):
+        publisher = MqttClient("pub", retry_timeout_ms=retry_timeout, max_retries=max_retries)
+        subscriber = MqttClient("sub", retry_timeout_ms=retry_timeout, max_retries=max_retries)
+        for client in (publisher, subscriber):
             for _ in range(100):
+                # a lost CONNECT or CONNACK: connect again on a new link
+                endpoint, far = make_queue_pair(f"{client.client_id}-c", f"{client.client_id}-b",
+                                                loop, lossy, lossy)
+                broker.attach(far)
                 try:
                     client.connect(endpoint, timeout_s=0)
                     break
                 except Exception:
-                    clock.now += retry_timeout
+                    endpoint.close()
+                    clock.set(clock.now + retry_timeout)
         for _ in range(100):
             try:
                 subscriber.subscribe([("t", 1)], timeout_s=0)
                 break
             except Exception:
-                clock.now += retry_timeout
+                clock.set(clock.now + retry_timeout)
         received: set[bytes] = set()
         subscriber.on_message = lambda topic, payload: received.add(payload)
         for i in range(1000):
             publisher.publish("t", str(i).encode(), qos=1)
+        links.settle(loop)
         bound_ms = (max_retries + 1) * retry_timeout
         start = clock.now
         while clock.now - start <= bound_ms and (publisher.inflight or len(received) < 1000):
-            clock.now += retry_timeout
-            publisher.tick()
-            broker.tick()
+            clock.set(clock.now + retry_timeout)
+            publisher.tick(clock.now)
+            broker.tick(clock.now)
+            links.settle(loop)
         assert len(received) == 1000
         assert clock.now - start <= bound_ms
 
         # qos-0 publishes are never retransmitted (and never acknowledged)
         sent_before = publisher.counters["publish_sent"]
         publisher.publish("t", b"fire-and-forget", qos=0)
+        links.settle(loop)
         for _ in range(10):
-            clock.now += retry_timeout * 2
-            publisher.tick()
-            broker.tick()
+            clock.set(clock.now + retry_timeout * 2)
+            publisher.tick(clock.now)
+            broker.tick(clock.now)
+            links.settle(loop)
         assert publisher.counters["publish_sent"] == sent_before + 1
         assert broker.counters["puback_out"] <= 1000 + publisher.counters["publish_sent"]
 

@@ -28,7 +28,14 @@ from atmosphere.agents import (
 )
 from atmosphere.errors import ConfigError, GuardError, PayloadError
 from atmosphere.agents.exprs import eval_expr, eval_guard, parse_guard
-from atmosphere.transport import make_sync_pair
+from atmosphere.transport import LogicalClock, Loop, make_queue_pair
+
+from .links import settle
+
+
+@pytest.fixture()
+def loop():
+    return Loop(LogicalClock())
 
 
 def vent_spec(agent_id="e2.vent", receivers=None):
@@ -347,47 +354,52 @@ class TestGuardLanguage:
 class TestDispatch:
     """Dispatch through the server, each agent on a channel of its own."""
 
-    def make_server(self, ids=("e1", "e2", "e3", "e4", "e5", "e6")):
+    def make_server(self, loop, ids=("e1", "e2", "e3", "e4", "e5", "e6")):
         server = GatewayServer()
-        return server, {agent_id: gateway_channel(server, [agent_id]) for agent_id in ids}
+        return server, {agent_id: gateway_channel(server, [agent_id], loop) for agent_id in ids}
 
-    def test_broadcast_reaches_all_but_sender(self):
-        server, channels = self.make_server()
+    def test_broadcast_reaches_all_but_sender(self, loop):
+        server, channels = self.make_server(loop)
         channels["e2"][0].send(o2_message(88, sender="e2"))
+        settle(loop)
         for agent_id in ("e1", "e3", "e4", "e5", "e6"):
             assert [m.receivers for m in channels[agent_id][1]] == [(agent_id,)]
         assert channels["e2"][1] == []
 
-    def test_directed_send_reaches_only_target(self):
-        server, channels = self.make_server()
+    def test_directed_send_reaches_only_target(self, loop):
+        server, channels = self.make_server(loop)
         message = AclMessage("INFORM", "e2", ("e4",), {"stream": "S", "fields": {}}, 0)
         channels["e2"][0].send(message)
+        settle(loop)
         assert channels["e4"][1] == [message]
         assert all(not channels[a][1] for a in ("e1", "e2", "e3", "e5", "e6"))
 
-    def test_unknown_receiver_notice_and_others_still_delivered(self):
-        server, channels = self.make_server()
+    def test_unknown_receiver_notice_and_others_still_delivered(self, loop):
+        server, channels = self.make_server(loop)
         channels["e2"][0].send(
             AclMessage("INFORM", "e2", ("ghost", "e4"), {"stream": "S", "fields": {}}, 0)
         )
+        settle(loop)
         assert len(channels["e4"][1]) == 1
         [notice] = channels["e2"][1]
         assert notice.stream == UNDELIVERABLE_STREAM
         assert notice.content["receiver"] == "ghost"
 
-    def test_unregistered_sender_dropped(self, caplog):
-        server, channels = self.make_server()
+    def test_unregistered_sender_dropped(self, loop, caplog):
+        server, channels = self.make_server(loop)
         channels["e1"][0].send(o2_message(88, sender="nobody"))
+        settle(loop)
         assert "unregistered sender 'nobody'" in caplog.text
         assert all(not frames for _, frames in channels.values())
         assert server.counters == {"acl_in": 1, "acl_out": 0}
 
-    def test_fifo_order_per_sender_receiver_pair(self):
-        server, channels = self.make_server(ids=("a", "b"))
+    def test_fifo_order_per_sender_receiver_pair(self, loop):
+        server, channels = self.make_server(loop, ids=("a", "b"))
         for i in range(10):
             channels["a"][0].send(
                 AclMessage("INFORM", "a", ("b",), {"stream": "S", "fields": {"value": i}}, i)
             )
+        settle(loop)
         assert [m.content["fields"]["value"] for m in channels["b"][1]] == list(range(10))
 
 
@@ -418,6 +430,10 @@ class TestWireFormat:
         ("receivers", "e1"),
         ("content", [1]),
         ("sent_at", None),
+        ("sent_at", "12"),
+        ("sent_at", 1.7),
+        ("sent_at", True),
+        ("sent_at", -5),
     ])
     def test_bad_body_rejected(self, key, value):
         good = {"performative": "INFORM", "sender": "a", "receivers": ["b"],
@@ -436,7 +452,7 @@ class TestWireFormat:
 
 
 class TestGatewayChannels:
-    def test_register_send_and_echo_service_counters(self):
+    def test_register_send_and_echo_service_counters(self, loop):
         server = GatewayServer()
         received = []
 
@@ -452,7 +468,7 @@ class TestGatewayChannels:
             ]
 
         server.register_service("echo", echo)
-        client_end, server_end = make_sync_pair()
+        client_end, server_end = make_queue_pair("a", "b", loop)
         server.attach_channel(server_end)
         client = GatewayClient("probe")
         client.connect(client_end)
@@ -461,15 +477,16 @@ class TestGatewayChannels:
         client.send(
             AclMessage("INFORM", "probe", ("echo",), {"stream": "BenchProbe", "fields": {"rid": 1}}, 0)
         )
+        settle(loop)
         assert len(received) == 1
         assert received[0].content["fields"] == {"rid": 1}
         assert server.counters == {"acl_in": 1, "acl_out": 1}
         assert client.counters == {"acl_sent": 1, "acl_received": 1}
 
-    def test_cross_channel_agent_messaging_preserves_fifo(self):
+    def test_cross_channel_agent_messaging_preserves_fifo(self, loop):
         server = GatewayServer()
-        a_end, a_server = make_sync_pair()
-        b_end, b_server = make_sync_pair()
+        a_end, a_server = make_queue_pair("a", "a-s", loop)
+        b_end, b_server = make_queue_pair("b", "b-s", loop)
         server.attach_channel(a_server)
         server.attach_channel(b_server)
         client_a = GatewayClient("edge-a")
@@ -484,6 +501,7 @@ class TestGatewayChannels:
             client_a.send(
                 AclMessage("INFORM", "a1", ("b1",), {"stream": "S", "fields": {"value": i}}, i)
             )
+        settle(loop)
         assert [m.content["fields"]["value"] for m in inbox_b] == list(range(5))
         assert server.counters == {"acl_in": 5, "acl_out": 5}
 
@@ -491,10 +509,10 @@ class TestGatewayChannels:
         AclMessage("BOGUS", "a1", ("b1",), {"stream": "S"}, 0),
         AclMessage("INFORM", "a1", ("b1",), [1], 0),
     ])
-    def test_bad_frame_in_a_chunk_loses_only_itself(self, bad):
+    def test_bad_frame_in_a_chunk_loses_only_itself(self, loop, bad):
         server = GatewayServer()
-        a_end, a_server = make_sync_pair()
-        b_end, b_server = make_sync_pair()
+        a_end, a_server = make_queue_pair("a", "a-s", loop)
+        b_end, b_server = make_queue_pair("b", "b-s", loop)
         server.attach_channel(a_server)
         server.attach_channel(b_server)
         client_a, client_b = GatewayClient("edge-a"), GatewayClient("edge-b")
@@ -507,18 +525,20 @@ class TestGatewayChannels:
         first, second = value_message("a1", ("b1",), 1), value_message("a1", ("b1",), 2)
         chunk = encode_acl(first) + encode_acl(bad) + encode_acl(second)
         a_end.send(chunk)  # into the server
+        settle(loop)
         assert inbox_b == [first, second]
         assert server.counters == {"acl_in": 2, "acl_out": 2}
         b_server.send(chunk)  # into the client
+        settle(loop)
         assert inbox_b == [first, second, first, second]
         assert client_b.counters["acl_received"] == 4
 
     @pytest.mark.parametrize("agents", [[["x"]], 5, "ab", [None], [""], None])
-    def test_register_frame_without_agent_ids_is_dropped(self, agents, caplog):
+    def test_register_frame_without_agent_ids_is_dropped(self, loop, agents, caplog):
         """A bad Register is dropped with a warning; the good one after it in
         the same read registers ``x1`` alone."""
         server = GatewayServer()
-        client_end, server_end = make_sync_pair()
+        client_end, server_end = make_queue_pair("a", "b", loop)
         server.attach_channel(server_end)
 
         def register(agent_ids):
@@ -526,6 +546,7 @@ class TestGatewayChannels:
             return encode_acl(AclMessage("REQUEST", "edge-x", (GATEWAY_ADDRESS,), content, 0))
 
         client_end.send(register(agents) + register(["x1"]))
+        settle(loop)
         assert list(server.channels) == ["x1"]
         assert server.counters == {"acl_in": 0, "acl_out": 0}
         assert "dropping Register frame" in caplog.text
@@ -535,9 +556,10 @@ def value_message(sender, receivers, value):
     return AclMessage("INFORM", sender, receivers, {"stream": "S", "fields": {"value": value}}, value)
 
 
-def gateway_channel(server, agent_ids, register=True):
-    """A client on a new sync channel to ``server``, and the frames it gets."""
-    client_end, server_end = make_sync_pair()
+def gateway_channel(server, agent_ids, loop, register=True):
+    """A client on a new channel to ``server`` on ``loop``, registered once
+    the loop settles, and the frames it gets."""
+    client_end, server_end = make_queue_pair(f"{agent_ids[0]}-c", f"{agent_ids[0]}-s", loop)
     server.attach_channel(server_end)
     client = GatewayClient(f"edge-{agent_ids[0]}")
     client.connect(client_end)
@@ -561,54 +583,60 @@ def inbox(frames, agent_id):
 class TestGatewayFrames:
     """One frame per (message, channel), naming that channel's receivers."""
 
-    def test_one_frame_per_channel_naming_its_receivers(self):
+    def test_one_frame_per_channel_naming_its_receivers(self, loop):
         server = GatewayServer()
-        sender, _ = gateway_channel(server, ["s"])
-        _, frames_x = gateway_channel(server, ["x1", "x2", "x3"])
-        _, frames_y = gateway_channel(server, ["y1"])
+        sender, _ = gateway_channel(server, ["s"], loop)
+        _, frames_x = gateway_channel(server, ["x1", "x2", "x3"], loop)
+        _, frames_y = gateway_channel(server, ["y1"], loop)
         sender.send(value_message("s", ("x1", "y1", "x2", "x3"), 7))
+        settle(loop)
         assert server.counters == {"acl_in": 1, "acl_out": 2}
         assert [m.receivers for m in frames_x] == [("x1", "x2", "x3")]
         assert [m.receivers for m in frames_y] == [("y1",)]
         assert frames_x[0].content == frames_y[0].content == {"stream": "S", "fields": {"value": 7}}
 
-    def test_broadcast_one_frame_per_channel_without_the_sender(self):
+    def test_broadcast_one_frame_per_channel_without_the_sender(self, loop):
         server = GatewayServer()
-        _, frames_x = gateway_channel(server, ["x1", "x2"])
-        sender, frames_y = gateway_channel(server, ["y1", "s"])
+        _, frames_x = gateway_channel(server, ["x1", "x2"], loop)
+        sender, frames_y = gateway_channel(server, ["y1", "s"], loop)
         sender.send(value_message("s", BROADCAST, 1))
+        settle(loop)
         assert server.counters == {"acl_in": 1, "acl_out": 2}
         assert [m.receivers for m in frames_x] == [("x1", "x2")]
         assert [m.receivers for m in frames_y] == [("y1",)]
 
-    def test_fifo_per_agent_mixing_one_and_many_receivers(self):
+    def test_fifo_per_agent_mixing_one_and_many_receivers(self, loop):
         server = GatewayServer()
-        sender, _ = gateway_channel(server, ["s"])
-        _, frames = gateway_channel(server, ["x1", "x2", "x3"])
+        sender, _ = gateway_channel(server, ["s"], loop)
+        _, frames = gateway_channel(server, ["x1", "x2", "x3"], loop)
         sends = [("x1",), ("x1", "x2", "x3"), ("x2",), ("x3", "x1"), ("x2", "x3"), ("x1",)]
         for value, receivers in enumerate(sends):
             sender.send(value_message("s", receivers, value))
+        settle(loop)
         for agent_id in ("x1", "x2", "x3"):
             expected = [v for v, receivers in enumerate(sends) if agent_id in receivers]
             assert inbox(frames, agent_id) == expected
         assert server.counters["acl_out"] == len(sends)  # one channel: one frame each
 
-    def test_message_to_unregistered_agent_is_undeliverable_until_it_registers(self):
+    def test_message_to_unregistered_agent_is_undeliverable_until_it_registers(self, loop):
         server = GatewayServer()
-        sender, frames_s = gateway_channel(server, ["s"])
-        late, frames_y = gateway_channel(server, ["y1"], register=False)
+        sender, frames_s = gateway_channel(server, ["s"], loop)
+        late, frames_y = gateway_channel(server, ["y1"], loop, register=False)
         sender.send(value_message("s", ("y1",), 0))
+        settle(loop)
         assert [(m.stream, m.content["receiver"]) for m in frames_s] == [(UNDELIVERABLE_STREAM, "y1")]
         late.register(["y1"])
         sender.send(value_message("s", ("y1",), 1))
+        settle(loop)
         assert inbox(frames_y, "y1") == [1]  # the first message is not held for it
         assert len(frames_s) == 1
         assert server.counters == {"acl_in": 2, "acl_out": 2}
 
-    def test_undeliverable_notice_keeps_its_place(self):
+    def test_undeliverable_notice_keeps_its_place(self, loop):
         server = GatewayServer()
-        sender, frames = gateway_channel(server, ["x1", "x2"])
+        sender, frames = gateway_channel(server, ["x1", "x2"], loop)
         sender.send(value_message("x1", ("x2", "ghost", "x1"), 5))
+        settle(loop)
         assert inbox(frames, "x2") == [5]
         assert inbox(frames, "x1") == [UNDELIVERABLE_STREAM, 5]
         assert server.counters["acl_out"] == 3
@@ -616,31 +644,33 @@ class TestGatewayFrames:
             (("x2",), "S"), (("x1",), UNDELIVERABLE_STREAM), (("x1",), "S"),
         ]
 
-    def test_service_reply_through_deliver_is_grouped(self):
+    def test_service_reply_through_deliver_is_grouped(self, loop):
         server = GatewayServer()
         server.register_service(
             "fan", lambda message: [value_message("fan", ("x1", "y1", "x2"), 9)]
         )
-        sender, _ = gateway_channel(server, ["s"])
-        _, frames_x = gateway_channel(server, ["x1", "x2"])
-        _, frames_y = gateway_channel(server, ["y1"])
+        sender, _ = gateway_channel(server, ["s"], loop)
+        _, frames_x = gateway_channel(server, ["x1", "x2"], loop)
+        _, frames_y = gateway_channel(server, ["y1"], loop)
         sender.send(value_message("s", ("fan",), 0))
+        settle(loop)
         assert server.counters == {"acl_in": 1, "acl_out": 2}
         assert [m.receivers for m in frames_x] == [("x1", "x2")]
         assert [m.receivers for m in frames_y] == [("y1",)]
         server.deliver(value_message("$gateway", BROADCAST, 10))
+        settle(loop)
         assert server.counters["acl_out"] == 5  # one more frame per channel
         assert [m.receivers for m in frames_x[1:]] == [("x1", "x2")]
         assert [m.receivers for m in frames_y[1:]] == [("y1",)]
 
 
 class TestScriptedLoopGoldenLog:
-    def test_deterministic_effect_log(self):
+    def test_deterministic_effect_log(self, loop):
         """Two agents behind a gateway, scripted stimuli, hand-derived log."""
         vent = Agent(vent_spec())
         light = Agent(light_spec(agent_id="e4.light"))
         server = GatewayServer()
-        channels = {agent.id: gateway_channel(server, [agent.id]) for agent in (vent, light)}
+        channels = {agent.id: gateway_channel(server, [agent.id], loop) for agent in (vent, light)}
 
         log: list[str] = []
 
@@ -657,6 +687,7 @@ class TestScriptedLoopGoldenLog:
 
         def drain_all():
             # Fixed interleaving: agents in declaration order, frames in arrival order.
+            settle(loop)
             for agent in (vent, light):
                 frames = channels[agent.id][1]
                 received = frames[:]

@@ -424,7 +424,7 @@ class TestResends:
         """The CLI broker's task has no horizon: idle, it waits on, and an
         entry opened later wakes it at that entry's due time."""
         loop = Loop(LogicalClock())
-        broker = Broker(clock=loop.clock)
+        broker = Broker()
         pubacks = itertools.count(1)
         forwards = []  # (clock, dup) of each PUBLISH the broker sends the subscriber
 
@@ -440,7 +440,7 @@ class TestResends:
         for name, drops in (("sub", (lose_ack, forwarded)), ("pub", ())):
             near, far = make_queue_pair(f"{name}-c", f"{name}-b", loop, *drops)
             broker.attach(far)
-            clients.append(MqttClient(name, clock=loop.clock))
+            clients.append(MqttClient(name))
             clients[-1].connect(near)
         subscriber, publisher = clients
         subscriber.subscribe([("a/b", 1)])
@@ -918,9 +918,11 @@ class TestProcessesMode:
                          processes=True)
         assert time.monotonic() - started < 5
 
-    def test_a_lost_core_fails_the_run(self, tmp_path, monkeypatch):
-        """A core that dies mid-run ends the run at once: the edges' links to
-        it close, so they stop waiting for round trips that cannot complete."""
+    @pytest.mark.parametrize("mode", ["full", "cep-only", "agents-only"])
+    def test_a_lost_core_fails_the_run(self, tmp_path, monkeypatch, mode):
+        """A core that dies mid-run ends the run at once, in every mode: the
+        edges' links to it close, so they stop sending and stop waiting for
+        round trips that cannot complete."""
         tasks = runner_mod._tasks
 
         def tasks_and_a_crash(deployment, *args):
@@ -934,7 +936,7 @@ class TestProcessesMode:
         started = time.monotonic()
         with pytest.raises(ConfigError, match=r"no report from core \(exit code 3\)$"):
             run_scenario(bench_copy(tmp_path, 2),
-                         RunOverrides(rate=50, duration_s=2, qos=1, warmup_s=0,
+                         RunOverrides(rate=50, duration_s=6, qos=1, mode=mode, warmup_s=0,
                                       clock="processing_time"),
                          processes=True)
         assert time.monotonic() - started < 5

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from atmosphere.events import Event, EventSchema, SchemaRegistry, decode_event, encode_event
-from atmosphere.mqtt import Broker, MqttClient
+from atmosphere.mqtt import Broker
 from atmosphere.nodes import (
     CloudNode,
     EdgeNode,
@@ -18,7 +18,9 @@ from atmosphere.nodes import (
 )
 from atmosphere.agents import AclMessage, GatewayClient, GatewayServer, parse_agent_spec
 from atmosphere.patterns import parse_pattern
-from atmosphere.transport import make_sync_pair
+from atmosphere.transport import LogicalClock, Loop, make_queue_pair
+
+from .links import attach_client, settle
 
 MINUTE = 60_000
 HOUR = 3_600_000
@@ -68,16 +70,13 @@ def registry_with(*schemas) -> SchemaRegistry:
     return SchemaRegistry(list(schemas))
 
 
-def attach_client(broker, client_id) -> MqttClient:
-    client_end, broker_end = make_sync_pair(f"{client_id}-c", f"{client_id}-b")
-    broker.attach(broker_end)
-    client = MqttClient(client_id)
-    client.connect(client_end)
-    return client
+@pytest.fixture()
+def loop():
+    return Loop(LogicalClock())
 
 
-def subscriber(broker, client_id, topic_filter):
-    client = attach_client(broker, client_id)
+def subscriber(broker, client_id, topic_filter, loop):
+    client = attach_client(broker, client_id, loop)
     inbox = []
     client.on_message = lambda topic, payload: inbox.append((topic, payload))
     client.subscribe([(topic_filter, 0)])
@@ -85,7 +84,7 @@ def subscriber(broker, client_id, topic_filter):
 
 
 class TestFogRouting:
-    def test_user_target_reaches_user_topic_only(self):
+    def test_user_target_reaches_user_topic_only(self, loop):
         registry = registry_with(
             EventSchema("ExternalLight", {"isOn": "boolean", "floor": "integer"})
         )
@@ -94,13 +93,15 @@ class TestFogRouting:
             "f1", broker, registry,
             [parse_pattern(LIGHT_BATCH), parse_pattern(SURVEILLANCE)],
         )
-        _, user_inbox = subscriber(broker, "u", topics.user_topic("f1"))
-        _, fog_out_inbox = subscriber(broker, "peer", topics.fog_output("f1", "fog"))
-        publisher = attach_client(broker, "edge")
+        _, user_inbox = subscriber(broker, "u", topics.user_topic("f1"), loop)
+        _, fog_out_inbox = subscriber(broker, "peer", topics.fog_output("f1", "fog"), loop)
+        publisher = attach_client(broker, "edge", loop)
         for i in range(4):
             event = Event("ExternalLight", {"isOn": True, "floor": 3}, 1000 + i, f"e{i}")
             publisher.publish(topics.fog_input("f1"), encode_event(event, registry))
+        settle(loop)
         fog.advance(10 * MINUTE)
+        settle(loop)
         assert len(fog_out_inbox) == 1  # the per-floor count, audience fog
         assert len(user_inbox) == 1
         alert = decode_event(user_inbox[0][1], registry)
@@ -108,89 +109,98 @@ class TestFogRouting:
         assert alert.fields == {"timestamp": 10 * MINUTE, "floor": 3}
         assert alert.source == "f1"
 
-    def test_cloud_target_routes_to_cloud_output(self):
+    def test_cloud_target_routes_to_cloud_output(self, loop):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}))
         broker = Broker()
         fog = FogNode("f1", broker, registry, [parse_pattern(TO_CLOUD_PATTERN)])
-        _, cloud_inbox = subscriber(broker, "c1", topics.fog_output("f1", "cloud"))
-        publisher = attach_client(broker, "edge")
+        _, cloud_inbox = subscriber(broker, "c1", topics.fog_output("f1", "cloud"), loop)
+        publisher = attach_client(broker, "edge", loop)
         event = Event("Ping", {"n": 1}, 5, "e1")
         publisher.publish(topics.fog_input("f1"), encode_event(event, registry))
+        settle(loop)
         assert len(cloud_inbox) == 1
         assert fog.routed_count == 1
 
-    def test_malformed_payload_dead_letters_without_crash(self):
+    def test_malformed_payload_dead_letters_without_crash(self, loop):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}))
         broker = Broker()
         fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)])
-        publisher = attach_client(broker, "edge")
+        publisher = attach_client(broker, "edge", loop)
         publisher.publish(topics.fog_input("f1"), b"{broken")
+        settle(loop)
         assert len(fog.dead_letters) == 1
         event = Event("Ping", {"n": 1}, 5, "e1")
         publisher.publish(topics.fog_input("f1"), encode_event(event, registry))
+        settle(loop)
         assert fog.ingest_count == 1
 
-    def test_peer_fog_input_processed_like_edge_input(self):
+    def test_peer_fog_input_processed_like_edge_input(self, loop):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}))
         broker = Broker()
         fog = FogNode("f2", broker, registry, [parse_pattern(ECHO_PATTERN)])
-        _, edge_inbox = subscriber(broker, "edge", topics.fog_output("f2", "edge"))
-        peer = attach_client(broker, "f1-client")
+        _, edge_inbox = subscriber(broker, "edge", topics.fog_output("f2", "edge"), loop)
+        peer = attach_client(broker, "f1-client", loop)
         event = Event("Ping", {"n": 7}, 10, "f1")
         peer.publish(topics.fog_input("f2"), encode_event(event, registry))
+        settle(loop)
         assert fog.ingest_count == 1
         assert len(edge_inbox) == 1
 
-    def test_stale_advance_is_a_noop_not_a_regression(self):
+    def test_stale_advance_is_a_noop_not_a_regression(self, loop):
         registry = registry_with(
             EventSchema("ExternalLight", {"isOn": "boolean", "floor": "integer"})
         )
         broker = Broker()
         fog = FogNode("f1", broker, registry, [parse_pattern(LIGHT_BATCH)])
-        publisher = attach_client(broker, "edge")
+        publisher = attach_client(broker, "edge", loop)
         event = Event("ExternalLight", {"isOn": True, "floor": 1}, 700_000, "e1")
         publisher.publish(topics.fog_input("f1"), encode_event(event, registry))
+        settle(loop)
         assert fog.engine.now_ms == 700_000
         fog.advance(600_000)  # a lagging caller must not crash the node
         assert fog.engine.now_ms == 700_000
         assert fog.dead_letters == []
 
-    def test_raising_boundary_dead_letters_and_later_boundaries_fire(self):
+    def test_raising_boundary_dead_letters_and_later_boundaries_fire(self, loop):
         registry = registry_with(
             EventSchema("ExternalLight", {"isOn": "boolean", "floor": "integer"})
         )
         broker = Broker()
         fog = FogNode("f1", broker, registry, [parse_pattern(p) for p in NULL_FLOOR_PATTERNS])
-        _, fog_out_inbox = subscriber(broker, "peer", topics.fog_output("f1", "fog"))
-        publisher = attach_client(broker, "edge")
+        _, fog_out_inbox = subscriber(broker, "peer", topics.fog_output("f1", "fog"), loop)
+        publisher = attach_client(broker, "edge", loop)
 
         def second(start_ms, floor):
             for at in range(start_ms, start_ms + 1000, 100):
                 event = Event("ExternalLight", {"isOn": True, "floor": floor}, at, "e1")
                 publisher.publish(topics.fog_input("f1"), encode_event(event, registry))
+            settle(loop)
 
         second(0, None)  # HighFloor compares the null floor at the boundary
         fog.advance(1000)
+        settle(loop)
         assert [reason for reason, _ in fog.dead_letters] == [
             "boundary at 1000 failed: cannot compare NoneType with int"
         ]
         assert fog_out_inbox == []
         second(1000, 3)
         fog.advance(2000)
+        settle(loop)
         streams = sorted(decode_event(payload, registry).stream for _, payload in fog_out_inbox)
         assert streams == ["ByFloor", "HighFloor", "PerSecond"]
         assert len(fog.dead_letters) == 1
 
-    def test_extra_inputs_feed_the_engine(self):
+    def test_extra_inputs_feed_the_engine(self, loop):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}))
         broker = Broker()
         fog = FogNode(
             "f1", broker, registry, [parse_pattern(ECHO_PATTERN)],
             extra_inputs=(topics.cloud_fog_output("c1"),),
         )
-        cloud = attach_client(broker, "c1")
+        cloud = attach_client(broker, "c1", loop)
         event = Event("Ping", {"n": 2}, 3, "c1")
         cloud.publish(topics.cloud_fog_output("c1"), encode_event(event, registry))
+        settle(loop)
         assert fog.ingest_count == 1
 
 
@@ -201,19 +211,20 @@ class TestUserBridge:
         fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)])
         return registry, broker, fog
 
-    def test_user_topic_never_reaches_the_engine(self):
+    def test_user_topic_never_reaches_the_engine(self, loop):
         registry, broker, fog = self.make_fog()
         user = UserNode("u", "f1", registry)
-        user.attach(attach_client(broker, "u"))
-        edge = attach_client(broker, "edge")
+        user.attach(attach_client(broker, "u", loop))
+        edge = attach_client(broker, "edge", loop)
         before = fog.ingest_count
         for i in range(100):
             notice = Event("Notice", {"text": f"n{i}"}, i, "e1")
             edge.publish(topics.user_topic("f1"), encode_event(notice, registry))
+        settle(loop)
         assert fog.ingest_count == before
         assert len(user.alerts) == 100
 
-    def test_rule_update_reaches_edge_and_flips_behavior(self):
+    def test_rule_update_reaches_edge_and_flips_behavior(self, loop):
         registry, broker, fog = self.make_fog()
         spec = parse_agent_spec(
             {
@@ -231,9 +242,9 @@ class TestUserBridge:
             path="/a",
         )
         edge = EdgeNode("e1", "f1", [spec], registry, clock=lambda: 0)
-        edge.attach_broker(attach_client(broker, "e1"))
+        edge.attach_broker(attach_client(broker, "e1", loop))
         user = UserNode("u", "f1", registry)
-        user.attach(attach_client(broker, "u"))
+        user.attach(attach_client(broker, "u", loop))
         user.publish_rule_update(
             "e1.light",
             {
@@ -243,12 +254,13 @@ class TestUserBridge:
                 "actions": [{"kind": "actuate", "actuator": "light", "value": True}],
             },
         )
+        settle(loop)
         edge.pump()
         assert edge.agents["e1.light"].rules[0].guard_text == "value <= 70"
         # user-bound chatter on the shared topic is ignored by the user node itself
         assert user.alerts == []
 
-    def test_rule_update_failing_the_spec_check_is_dead_lettered(self):
+    def test_rule_update_failing_the_spec_check_is_dead_lettered(self, loop):
         registry, broker, fog = self.make_fog()
         spec = parse_agent_spec(
             {
@@ -260,15 +272,16 @@ class TestUserBridge:
             path="/a",
         )
         edge = EdgeNode("e1", "f1", [spec], registry, clock=lambda: 0)
-        edge.attach_broker(attach_client(broker, "e1"))
+        edge.attach_broker(attach_client(broker, "e1", loop))
         user = UserNode("u", "f1", registry)
-        user.attach(attach_client(broker, "u"))
+        user.attach(attach_client(broker, "u", loop))
         rules = list(edge.agents["e1.light"].rules)
         user.publish_rule_update(
             "e1.light",
             {"id": "on-low", "trigger": {"kind": "message", "stream": "O2Level"},
              "actions": [{"kind": "actuate", "actuator": "door", "value": 1}]},
         )
+        settle(loop)
         edge.pump()
         assert len(edge.dead_letters) == 1
         assert "undeclared actuator 'door'" in edge.dead_letters[0]
@@ -279,7 +292,7 @@ class TestUserBridge:
 
 
 class TestCloudNode:
-    def build(self, with_hospital_patterns=False):
+    def build(self, loop, with_hospital_patterns=False):
         schemas = [
             EventSchema("Medicine", {"id": "string", "type": "string", "place": "string"}),
         ]
@@ -320,39 +333,42 @@ class TestCloudNode:
             ],
             clock=lambda: clock_value[0],
         )
-        cloud.attach(attach_client(broker, "c1"))
+        cloud.attach(attach_client(broker, "c1", loop))
         return registry, broker, cloud, clock_value
 
-    def test_raw_mapping_with_defaults(self):
-        registry, broker, cloud, clock_value = self.build()
-        feeder = attach_client(broker, "lab")
+    def test_raw_mapping_with_defaults(self, loop):
+        registry, broker, cloud, clock_value = self.build(loop)
+        feeder = attach_client(broker, "lab", loop)
         clock_value[0] = 1234
         feeder.publish(
             topics.cloud_source("c1", "laboratory"),
             json.dumps({"medId": "m1", "site": "laboratory"}).encode(),
         )
+        settle(loop)
         assert cloud.ingest_count == 1
         assert cloud.dead_letters == []
 
-    def test_missing_source_path_dead_letters_with_transformer_id(self):
-        registry, broker, cloud, _ = self.build()
-        feeder = attach_client(broker, "lab")
+    def test_missing_source_path_dead_letters_with_transformer_id(self, loop):
+        registry, broker, cloud, _ = self.build(loop)
+        feeder = attach_client(broker, "lab", loop)
         feeder.publish(
             topics.cloud_source("c1", "laboratory"),
             json.dumps({"noMedId": "m1"}).encode(),
         )
+        settle(loop)
         assert cloud.ingest_count == 0
         assert len(cloud.dead_letters) == 1
         assert "medicine_raw" in cloud.dead_letters[0][0]
 
-    def test_stock_break_reaches_fog_sink_and_notifications_recorded(self):
-        registry, broker, cloud, clock_value = self.build(with_hospital_patterns=True)
-        _, fog_inbox = subscriber(broker, "f1", topics.cloud_fog_output("c1"))
-        feeder = attach_client(broker, "src")
+    def test_stock_break_reaches_fog_sink_and_notifications_recorded(self, loop):
+        registry, broker, cloud, clock_value = self.build(loop, with_hospital_patterns=True)
+        _, fog_inbox = subscriber(broker, "f1", topics.cloud_fog_output("c1"), loop)
+        feeder = attach_client(broker, "src", loop)
 
         def send(source, doc, at):
             clock_value[0] = at
             feeder.publish(topics.cloud_source("c1", source), json.dumps(doc).encode())
+            settle(loop)
 
         for i in range(1001):
             send("laboratory", {"medId": "m1", "site": "laboratory"}, 1000 + i)
@@ -360,6 +376,7 @@ class TestCloudNode:
             send("pharmacy", {"medId": "m1", "site": "pharmacy"}, 600_000 + i)
         send("hospital", {"medId": "m1", "category": "respiratory", "site": "hospital"}, 700_000)
         cloud.advance(24 * HOUR)
+        settle(loop)
         breaks = [
             decode_event(payload, registry)
             for _, payload in fog_inbox
@@ -372,7 +389,7 @@ class TestCloudNode:
 
 
 class TestEdgeNode:
-    def build(self, specs=None):
+    def build(self, loop, specs=None):
         registry = registry_with(
             EventSchema("Ping", {"n": "integer"}),
             EventSchema("ExternalLight", {"isOn": "boolean", "floor": "integer"}),
@@ -399,26 +416,28 @@ class TestEdgeNode:
                 for i in range(6)
             ]
         edge = EdgeNode("e1", "f1", specs, registry, clock=lambda: 0)
-        edge.attach_broker(attach_client(broker, "e1"))
-        gw_client_end, gw_server_end = make_sync_pair()
+        edge.attach_broker(attach_client(broker, "e1", loop))
+        gw_client_end, gw_server_end = make_queue_pair("e1-gw-c", "e1-gw-s", loop)
         gateway.attach_channel(gw_server_end)
         gclient = GatewayClient("e1")
         gclient.connect(gw_client_end)
         edge.attach_gateway(gclient)
+        settle(loop)
         return registry, broker, fog, gateway, edge
 
-    def test_six_agents_register_once_each_single_broker_session(self):
-        registry, broker, fog, gateway, edge = self.build()
+    def test_six_agents_register_once_each_single_broker_session(self, loop):
+        registry, broker, fog, gateway, edge = self.build(loop)
         assert list(gateway.channels) == [f"e1.a{i}" for i in range(6)]
         assert len(set(gateway.channels.values())) == 1  # all on the edge's one channel
         assert broker.session_count() == 1  # one broker session for the whole edge
 
-    def test_one_gateway_frame_lands_in_each_named_mailbox_once(self):
-        registry, broker, fog, gateway, edge = self.build()
+    def test_one_gateway_frame_lands_in_each_named_mailbox_once(self, loop):
+        registry, broker, fog, gateway, edge = self.build(loop)
         named = ("e1.a1", "e1.a3", "e1.a4")
         gateway.deliver(
             AclMessage("INFORM", "svc", named, {"stream": "Echo", "fields": {"value": 1}}, 5)
         )
+        settle(loop)
         assert gateway.counters["acl_out"] == 1
         assert edge.gateway_client.counters["acl_received"] == 1
         for agent_id, mailbox in edge.mailboxes.items():
@@ -428,7 +447,7 @@ class TestEdgeNode:
 
         assert sorted(e.agent_id for e in edge.effect_log if isinstance(e, LogLine)) == list(named)
 
-    def test_agent_message_on_rule_update_stream_reaches_its_receiver(self):
+    def test_agent_message_on_rule_update_stream_reaches_its_receiver(self, loop):
         sender = {
             "id": "e1.tx",
             "sensors": ["s"],
@@ -449,8 +468,10 @@ class TestEdgeNode:
             }],
         }
         specs = [parse_agent_spec(doc, path=f"/agents/{i}") for i, doc in enumerate((sender, receiver))]
-        registry, broker, fog, gateway, edge = self.build(specs)
+        registry, broker, fog, gateway, edge = self.build(loop, specs)
         edge.inject_sensor("e1.tx", "s", 7, at=5)
+        edge.pump()
+        settle(loop)  # the message reaches e1.rx through the gateway
         edge.pump()
         from atmosphere.agents import LogLine
 
@@ -458,32 +479,60 @@ class TestEdgeNode:
             ("e1.rx", "heard 7")
         ]
 
-    def test_fog_emission_stimulates_matching_agents(self):
-        registry, broker, fog, gateway, edge = self.build()
-        publisher = attach_client(broker, "sim")
+    def test_send_on_a_closed_gateway_channel_is_dead_lettered(self, loop):
+        """A closed channel fails the send, as a closed broker link fails a
+        publish; the edge dead-letters it and ``pump`` goes on."""
+        sender = {
+            "id": "e1.tx",
+            "sensors": ["s"],
+            "rules": [{
+                "id": "tell",
+                "trigger": {"kind": "sensor", "sensor": "s"},
+                "actions": [{"kind": "send", "receivers": ["e1.rx"],
+                             "stream": "S", "fields": {"value": "$value"}},
+                            {"kind": "log", "template": "told $value"}],
+            }],
+        }
+        registry, broker, fog, gateway, edge = self.build(loop, [parse_agent_spec(sender, path="/tx")])
+        edge.gateway_client.close()
+        edge.inject_sensor("e1.tx", "s", 7, at=5)
+        edge.pump()
+        assert edge.dead_letters == [
+            "e1.tx: gateway send failed: e1: gateway channel not connected"
+        ]
+        assert edge.gateway_client.counters["acl_sent"] == 0
+        from atmosphere.agents import LogLine
+
+        assert [e.text for e in edge.effect_log if isinstance(e, LogLine)] == ["told 7"]
+
+    def test_fog_emission_stimulates_matching_agents(self, loop):
+        registry, broker, fog, gateway, edge = self.build(loop)
+        publisher = attach_client(broker, "sim", loop)
         event = Event("Ping", {"n": 1}, 10, "e1")
         publisher.publish(topics.fog_input("f1"), encode_event(event, registry))
+        settle(loop)
         edge.pump()
         from atmosphere.agents import LogLine
 
         logs = [e for e in edge.effect_log if isinstance(e, LogLine)]
         assert len(logs) == 6  # every agent has the matching message rule
 
-    def test_unconsumed_fog_output_reaches_on_event_only(self):
+    def test_unconsumed_fog_output_reaches_on_event_only(self, loop):
         quiet = {"id": "e1.quiet", "sensors": ["s"], "rules": [{
             "id": "sense", "trigger": {"kind": "sensor", "sensor": "s"},
             "actions": [{"kind": "log", "template": "s $value"}]}]}
-        registry, broker, fog, gateway, edge = self.build([parse_agent_spec(quiet, path="/q")])
+        registry, broker, fog, gateway, edge = self.build(loop, [parse_agent_spec(quiet, path="/q")])
         seen = []
         edge.on_event = lambda topic, event: seen.append((topic, event.stream, event.fields))
-        publisher = attach_client(broker, "sim")
+        publisher = attach_client(broker, "sim", loop)
         publisher.publish(topics.fog_input("f1"), encode_event(Event("Ping", {"n": 1}, 10, "e1"), registry))
+        settle(loop)
         assert seen == [(topics.fog_output("f1", "edge"), "Echo", {"n": 1})]
         assert not edge.has_work
         assert all(not mailbox for mailbox in edge.mailboxes.values())
 
-    def test_rule_update_adding_message_trigger_routes_next_event(self):
-        registry, broker, fog, gateway, edge = self.build()
+    def test_rule_update_adding_message_trigger_routes_next_event(self, loop):
+        registry, broker, fog, gateway, edge = self.build(loop)
         spec = parse_agent_spec(
             {
                 "id": "e2.late",
@@ -499,15 +548,16 @@ class TestEdgeNode:
             path="/late",
         )
         edge = EdgeNode("e2", "f1", [spec], registry, clock=lambda: 0)
-        edge.attach_broker(attach_client(broker, "e2"))
+        edge.attach_broker(attach_client(broker, "e2", loop))
         user = UserNode("u", "f1", registry)
-        user.attach(attach_client(broker, "u"))
-        publisher = attach_client(broker, "sim")
+        user.attach(attach_client(broker, "u", loop))
+        publisher = attach_client(broker, "sim", loop)
         from atmosphere.agents import LogLine
 
         def ping(n):
             event = Event("Ping", {"n": n}, 10 + n, "e2")
             publisher.publish(topics.fog_input("f1"), encode_event(event, registry))
+            settle(loop)
 
         ping(1)
         assert not edge.has_work  # no agent consumes Echo yet
@@ -519,6 +569,7 @@ class TestEdgeNode:
                 "actions": [{"kind": "log", "template": "echo"}],
             },
         )
+        settle(loop)
         assert edge.has_work
         edge.pump()
         ping(2)
@@ -526,8 +577,8 @@ class TestEdgeNode:
         edge.pump()
         assert [e.text for e in edge.effect_log if isinstance(e, LogLine)] == ["echo"]
 
-    def test_agent_fog_publish_goes_through_broker(self):
-        registry, broker, fog, gateway, edge = self.build()
+    def test_agent_fog_publish_goes_through_broker(self, loop):
+        registry, broker, fog, gateway, edge = self.build(loop)
         spec = parse_agent_spec(
             {
                 "id": "e1.pub",
@@ -557,4 +608,5 @@ class TestEdgeNode:
         before = fog.ingest_count
         edge.inject_sensor("e1.pub", "o2", 85, at=50)
         edge.pump()
+        settle(loop)
         assert fog.ingest_count == before + 1
