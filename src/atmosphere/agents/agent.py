@@ -11,7 +11,6 @@ reported as effects. A guard or interpolation failure skips that rule with a
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 
 from ..errors import GuardError
 from .exprs import eval_expr, eval_guard
@@ -19,6 +18,7 @@ from .model import (
     AclMessage,
     Actuation,
     ActuateAction,
+    AgentSpec,
     Effect,
     FogPublish,
     LogAction,
@@ -86,7 +86,9 @@ class Agent:
             rules[ids.index(rule.id)] = rule
         else:
             rules.append(rule)
-        validate_agent_spec(replace(self.spec, rules=tuple(rules)), path)
+        spec = self.spec
+        validate_agent_spec(AgentSpec(spec.id, spec.attributes, spec.state, spec.sensors,
+                                      spec.actuators, tuple(rules)), path)
         self.rules = rules
         return rule
 

@@ -9,37 +9,44 @@ so the caller can skip the rule rather than crash the agent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import FieldTypeError, GuardError
 from ..events import compare_values
 from ..patterns.parser import Token, tokenize
+from ..record import Record
 
 _CMP_OPS = {"=", "==", "!=", "<", "<=", ">", ">="}
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: object
+class Lit(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: object):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Ref:
-    scope: str  # value | state | attr
-    name: str | None
+class Ref(Record):
+    __slots__ = ("scope", "name")
+
+    def __init__(self, scope: str, name: str | None):
+        self.scope = scope  # value | state | attr
+        self.name = name
 
 
-@dataclass(frozen=True)
-class UnaryOp:
-    op: str  # not | neg
-    operand: object
+class UnaryOp(Record):
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: object):
+        self.op = op  # not | neg
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
+class BinOp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: object, right: object):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
 class _ExprParser:

@@ -12,11 +12,11 @@ import json
 import logging
 import re
 import struct
-from dataclasses import dataclass, field
 
 from ..errors import ConfigError, MqttProtocolError, PayloadError
 from ..events import IDENT_RE
 from ..mqtt.packets import validate_topic_name
+from ..record import Record
 from .exprs import guard_references, parse_guard
 
 logger = logging.getLogger(__name__)
@@ -26,15 +26,17 @@ GATEWAY_ADDRESS = "$gateway"
 PERFORMATIVES = ("INFORM", "REQUEST")
 
 
-@dataclass(frozen=True)
-class AclMessage:
+class AclMessage(Record):
     """One ACL message; :func:`decode_acl_body` checks those off the wire."""
 
-    performative: str
-    sender: str
-    receivers: tuple  # of agent/service ids, or the BROADCAST marker string
-    content: dict
-    sent_at: int
+    __slots__ = ("performative", "sender", "receivers", "content", "sent_at")
+
+    def __init__(self, performative: str, sender: str, receivers: tuple, content: dict, sent_at: int):
+        self.performative = performative
+        self.sender = sender
+        self.receivers = receivers  # of agent/service ids, or the BROADCAST marker string
+        self.content = content
+        self.sent_at = sent_at
 
     @property
     def stream(self) -> str | None:
@@ -121,19 +123,25 @@ class AclFrameDecoder:
 # -- triggers ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SensorTrigger:
-    sensor: str
+class SensorTrigger(Record):
+    __slots__ = ("sensor",)
+
+    def __init__(self, sensor: str):
+        self.sensor = sensor
 
 
-@dataclass(frozen=True)
-class MessageTrigger:
-    stream: str
+class MessageTrigger(Record):
+    __slots__ = ("stream",)
+
+    def __init__(self, stream: str):
+        self.stream = stream
 
 
-@dataclass(frozen=True)
-class TimerTrigger:
-    period_ms: int
+class TimerTrigger(Record):
+    __slots__ = ("period_ms",)
+
+    def __init__(self, period_ms: int):
+        self.period_ms = period_ms
 
 
 Trigger = SensorTrigger | MessageTrigger | TimerTrigger
@@ -142,36 +150,46 @@ Trigger = SensorTrigger | MessageTrigger | TimerTrigger
 # -- actions ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SendAction:
-    receivers: tuple  # of agent/service ids, or the BROADCAST marker string
-    stream: str
-    fields: dict
+class SendAction(Record):
+    __slots__ = ("receivers", "stream", "fields")
+
+    def __init__(self, receivers: tuple, stream: str, fields: dict):
+        self.receivers = receivers  # of agent/service ids, or the BROADCAST marker string
+        self.stream = stream
+        self.fields = fields
 
 
-@dataclass(frozen=True)
-class ActuateAction:
-    actuator: str
-    value: object
+class ActuateAction(Record):
+    __slots__ = ("actuator", "value")
+
+    def __init__(self, actuator: str, value: object):
+        self.actuator = actuator
+        self.value = value
 
 
-@dataclass(frozen=True)
-class PublishFogAction:
-    topic: str
-    stream: str
-    fields: dict
+class PublishFogAction(Record):
+    __slots__ = ("topic", "stream", "fields")
+
+    def __init__(self, topic: str, stream: str, fields: dict):
+        self.topic = topic
+        self.stream = stream
+        self.fields = fields
 
 
-@dataclass(frozen=True)
-class SetStateAction:
-    var: str
-    expr: object  # parsed guard-language expression
-    expr_text: str = ""
+class SetStateAction(Record):
+    __slots__ = ("var", "expr", "expr_text")
+
+    def __init__(self, var: str, expr: object, expr_text: str = ""):
+        self.var = var
+        self.expr = expr  # parsed guard-language expression
+        self.expr_text = expr_text
 
 
-@dataclass(frozen=True)
-class LogAction:
-    template: str
+class LogAction(Record):
+    __slots__ = ("template",)
+
+    def __init__(self, template: str):
+        self.template = template
 
 
 Action = (
@@ -183,40 +201,50 @@ Action = (
 )
 
 
-@dataclass(frozen=True)
-class Rule:
-    id: str
-    trigger: Trigger
-    guard: object | None  # parsed expression
-    actions: tuple
-    guard_text: str | None = None
+class Rule(Record):
+    __slots__ = ("id", "trigger", "guard", "actions", "guard_text")
+
+    def __init__(self, id: str, trigger: Trigger, guard: object | None, actions: tuple,
+                 guard_text: str | None = None):
+        self.id = id
+        self.trigger = trigger
+        self.guard = guard  # parsed expression
+        self.actions = actions
+        self.guard_text = guard_text
 
 
-@dataclass(frozen=True)
-class AgentSpec:
-    id: str
-    attributes: dict = field(default_factory=dict)
-    state: dict = field(default_factory=dict)
-    sensors: tuple = ()
-    actuators: dict = field(default_factory=dict)  # name -> initial value
-    rules: tuple = ()
+class AgentSpec(Record):
+    __slots__ = ("id", "attributes", "state", "sensors", "actuators", "rules")
+
+    def __init__(self, id: str, attributes: dict | None = None, state: dict | None = None,
+                 sensors: tuple = (), actuators: dict | None = None, rules: tuple = ()):
+        self.id = id
+        self.attributes = {} if attributes is None else attributes
+        self.state = {} if state is None else state
+        self.sensors = sensors
+        self.actuators = {} if actuators is None else actuators  # name -> initial value
+        self.rules = rules
 
 
 # -- stimuli -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SensorSample:
-    sensor: str
-    value: object
-    at: int
+class SensorSample(Record):
+    __slots__ = ("sensor", "value", "at")
+
+    def __init__(self, sensor: str, value: object, at: int):
+        self.sensor = sensor
+        self.value = value
+        self.at = at
 
 
-@dataclass(frozen=True)
-class TimerFire:
-    rule_id: str
-    count: int
-    at: int
+class TimerFire(Record):
+    __slots__ = ("rule_id", "count", "at")
+
+    def __init__(self, rule_id: str, count: int, at: int):
+        self.rule_id = rule_id
+        self.count = count
+        self.at = at
 
 
 Stimulus = SensorSample | TimerFire | AclMessage
@@ -225,44 +253,56 @@ Stimulus = SensorSample | TimerFire | AclMessage
 # -- effects -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Actuation:
-    agent_id: str
-    actuator: str
-    value: object
+class Actuation(Record):
+    __slots__ = ("agent_id", "actuator", "value")
+
+    def __init__(self, agent_id: str, actuator: str, value: object):
+        self.agent_id = agent_id
+        self.actuator = actuator
+        self.value = value
 
 
-@dataclass(frozen=True)
-class OutboundAcl:
-    message: AclMessage
+class OutboundAcl(Record):
+    __slots__ = ("message",)
+
+    def __init__(self, message: AclMessage):
+        self.message = message
 
 
-@dataclass(frozen=True)
-class FogPublish:
-    topic: str
-    stream: str
-    fields: dict
-    at: int
+class FogPublish(Record):
+    __slots__ = ("topic", "stream", "fields", "at")
+
+    def __init__(self, topic: str, stream: str, fields: dict, at: int):
+        self.topic = topic
+        self.stream = stream
+        self.fields = fields
+        self.at = at
 
 
-@dataclass(frozen=True)
-class StateChange:
-    agent_id: str
-    var: str
-    value: object
+class StateChange(Record):
+    __slots__ = ("agent_id", "var", "value")
+
+    def __init__(self, agent_id: str, var: str, value: object):
+        self.agent_id = agent_id
+        self.var = var
+        self.value = value
 
 
-@dataclass(frozen=True)
-class LogLine:
-    agent_id: str
-    text: str
+class LogLine(Record):
+    __slots__ = ("agent_id", "text")
+
+    def __init__(self, agent_id: str, text: str):
+        self.agent_id = agent_id
+        self.text = text
 
 
-@dataclass(frozen=True)
-class RuleError:
-    agent_id: str
-    rule_id: str
-    message: str
+class RuleError(Record):
+    __slots__ = ("agent_id", "rule_id", "message")
+
+    def __init__(self, agent_id: str, rule_id: str, message: str):
+        self.agent_id = agent_id
+        self.rule_id = rule_id
+        self.message = message
 
 
 Effect = Actuation | OutboundAcl | FogPublish | StateChange | LogLine | RuleError

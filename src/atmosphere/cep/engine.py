@@ -28,7 +28,6 @@ produces the same keys independently.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
 from ..errors import (
     DeploymentError,
@@ -48,12 +47,14 @@ from ..patterns import (
 from .infer import check_predicate_types, register_output_schema
 
 
-@dataclass(frozen=True)
 class Emission:
-    event: Event
-    produced_by: str
-    target_tag: str | None
-    order_key: tuple = field(compare=False, default=())
+    __slots__ = ("event", "produced_by", "target_tag", "order_key")
+
+    def __init__(self, event: Event, produced_by: str, target_tag: str | None, order_key: tuple = ()):
+        self.event = event
+        self.produced_by = produced_by
+        self.target_tag = target_tag
+        self.order_key = order_key
 
 
 def _compile_binding(binding):

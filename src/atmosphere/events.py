@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 
 from .errors import FieldTypeError, PayloadError, SchemaError, UnknownStreamError
+from .record import Record
 
 # A field value is a 64-bit float, a 64-bit signed integer, a UTF-8 string,
 # a boolean, or null.
@@ -69,22 +69,23 @@ _RENDER = {
 }
 
 
-@dataclass(frozen=True, eq=True)
-class Event:
+class Event(Record):
     """One observation flowing through the system.
 
     ``fields`` is insertion-ordered; equality compares it as a mapping, so two
     events with the same fields in different order are equal.
     """
 
-    stream: str
-    fields: dict
-    timestamp: int
-    source: str
+    __slots__ = ("stream", "fields", "timestamp", "source")
+
+    def __init__(self, stream: str, fields: dict, timestamp: int, source: str):
+        self.stream = stream
+        self.fields = fields
+        self.timestamp = timestamp
+        self.source = source
 
 
-@dataclass(frozen=True)
-class EventSchema:
+class EventSchema(Record):
     """Declared field types for one stream.
 
     An event validates iff every declared field is present with a coercible
@@ -92,10 +93,11 @@ class EventSchema:
     accepted for any declared field.
     """
 
-    stream: str
-    fields: dict = field(default_factory=dict)
+    __slots__ = ("stream", "fields", "_plan", "_head")
 
-    def __post_init__(self):
+    def __init__(self, stream: str, fields: dict | None = None):
+        self.stream = stream
+        self.fields = {} if fields is None else fields
         if not IDENT_RE.match(self.stream):
             raise SchemaError(f"invalid stream name: {self.stream!r}")
         for name, ftype in self.fields.items():
@@ -107,11 +109,11 @@ class EventSchema:
                 )
         # The codec plan, built once: per field in declaration order, its
         # name, its JSON key, its exact type and how its value is written.
-        object.__setattr__(self, "_plan", tuple(
+        self._plan = tuple(
             (name, f',"{name}":', _EXACT[ftype], _RENDER[ftype])
             for name, ftype in self.fields.items()
-        ))
-        object.__setattr__(self, "_head", f'{{"_stream":"{self.stream}","_ts":')
+        )
+        self._head = f'{{"_stream":"{self.stream}","_ts":'
 
     def coerce_value(self, name: str, value: FieldValue) -> FieldValue:
         """Return ``value`` coerced to the declared type, or raise SchemaError."""

@@ -12,7 +12,6 @@ again. Errors carry JSON-pointer-style paths.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..agents import parse_agent_spec
@@ -23,78 +22,99 @@ from ..events import EventSchema, FIELD_TYPES, SchemaRegistry
 from ..mqtt.packets import validate_topic_filter, validate_topic_name
 from ..nodes import SinkSpec, SourceSpec, TransformerSpec
 from ..patterns import PatternDef, parse_patterns
+from ..record import Record
 
 MODES = ("full", "cep-only", "agents-only")
 CLOCKS = ("event_time", "processing_time")
 GENERATOR_KINDS = ("constant", "uniform_int", "choice", "bernoulli", "sequence")
 
 
-@dataclass(frozen=True)
-class FogConfig:
-    id: str
-    patterns: tuple = ()
-    extra_inputs: tuple = ()
+class FogConfig(Record):
+    __slots__ = ("id", "patterns", "extra_inputs")
+
+    def __init__(self, id: str, patterns: tuple = (), extra_inputs: tuple = ()):
+        self.id = id
+        self.patterns = patterns
+        self.extra_inputs = extra_inputs
 
 
-@dataclass(frozen=True)
-class CloudConfig:
-    id: str
-    patterns: tuple = ()
-    sources: tuple = ()
-    transformers: tuple = ()
-    sinks: tuple = ()
+class CloudConfig(Record):
+    __slots__ = ("id", "patterns", "sources", "transformers", "sinks")
+
+    def __init__(self, id: str, patterns: tuple = (), sources: tuple = (), transformers: tuple = (),
+                 sinks: tuple = ()):
+        self.id = id
+        self.patterns = patterns
+        self.sources = sources
+        self.transformers = transformers
+        self.sinks = sinks
 
 
-@dataclass(frozen=True)
-class EdgeConfig:
-    id: str
-    fog: str
-    agent_specs: tuple = ()
+class EdgeConfig(Record):
+    __slots__ = ("id", "fog", "agent_specs")
+
+    def __init__(self, id: str, fog: str, agent_specs: tuple = ()):
+        self.id = id
+        self.fog = fog
+        self.agent_specs = agent_specs
 
 
-@dataclass(frozen=True)
-class UserConfig:
-    id: str
-    fog: str
+class UserConfig(Record):
+    __slots__ = ("id", "fog")
+
+    def __init__(self, id: str, fog: str):
+        self.id = id
+        self.fog = fog
 
 
-@dataclass(frozen=True)
-class SimulatorSpec:
-    edge: str
-    stream: str
-    rate: float
-    generators: dict = field(default_factory=dict)
-    seed: int = 0
+class SimulatorSpec(Record):
+    __slots__ = ("edge", "stream", "rate", "generators", "seed")
+
+    def __init__(self, edge: str, stream: str, rate: float, generators: dict | None = None,
+                 seed: int = 0):
+        self.edge = edge
+        self.stream = stream
+        self.rate = rate
+        self.generators = {} if generators is None else generators
+        self.seed = seed
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
-    at_ms: int
-    kind: str
-    data: dict = field(default_factory=dict)
+class TimelineEntry(Record):
+    __slots__ = ("at_ms", "kind", "data")
+
+    def __init__(self, at_ms: int, kind: str, data: dict | None = None):
+        self.at_ms = at_ms
+        self.kind = kind
+        self.data = {} if data is None else data
 
 
-@dataclass(frozen=True)
-class RunDefaults:
-    duration_s: float = 10.0
-    qos: int = 0
-    mode: str = "full"
-    clock: str = "event_time"
-    seed: int = 0
-    warmup_s: float = 10.0
+class RunDefaults(Record):
+    __slots__ = ("duration_s", "qos", "mode", "clock", "seed", "warmup_s")
+
+    def __init__(self, duration_s: float = 10.0, qos: int = 0, mode: str = "full",
+                 clock: str = "event_time", seed: int = 0, warmup_s: float = 10.0):
+        self.duration_s = duration_s
+        self.qos = qos
+        self.mode = mode
+        self.clock = clock
+        self.seed = seed
+        self.warmup_s = warmup_s
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    name: str
-    schemas: tuple
-    fogs: tuple
-    clouds: tuple
-    edges: tuple
-    user: UserConfig | None
-    simulators: tuple
-    timeline: tuple
-    run: RunDefaults
+class ScenarioConfig(Record):
+    __slots__ = ("name", "schemas", "fogs", "clouds", "edges", "user", "simulators", "timeline", "run")
+
+    def __init__(self, name: str, schemas: tuple, fogs: tuple, clouds: tuple, edges: tuple,
+                 user: UserConfig | None, simulators: tuple, timeline: tuple, run: RunDefaults):
+        self.name = name
+        self.schemas = schemas
+        self.fogs = fogs
+        self.clouds = clouds
+        self.edges = edges
+        self.user = user
+        self.simulators = simulators
+        self.timeline = timeline
+        self.run = run
 
     def build_registry(self) -> SchemaRegistry:
         """Fresh registry: declared input schemas plus inferred derived ones."""
@@ -359,13 +379,13 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
             raise ConfigError(f"user references unknown fog {fog!r}", user_path)
         user = UserConfig(id=user_id, fog=fog)
 
-    edge_ids = {e.id for e in edges}
+    edge_agents = {e.id: {spec.id for spec in e.agent_specs} for e in edges}
     declared_streams = {s.stream for s in schemas}
     simulators = []
     for i, sim_doc in enumerate(doc.get("simulators", [])):
         sim_path = f"/simulators/{i}"
         edge = _req(sim_doc, "edge", sim_path, str)
-        if edge not in edge_ids:
+        if edge not in edge_agents:
             raise ConfigError(f"unknown edge {edge!r}", sim_path)
         stream = _req(sim_doc, "stream", sim_path, str)
         if stream not in declared_streams:
@@ -408,21 +428,22 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     for i, entry_doc in enumerate(doc.get("timeline", [])):
         entry_path = f"/timeline/{i}"
         at_ms = entry_doc.get("at_ms")
-        if not isinstance(at_ms, int) or at_ms < 0:
+        if type(at_ms) is not int or at_ms < 0:  # JSON true is a bool, not an int
             raise ConfigError("at_ms must be a non-negative integer", entry_path)
         kind = _req(entry_doc, "kind", entry_path, str)
         data = {k: v for k, v in entry_doc.items() if k not in ("at_ms", "kind", "repeat", "interval_ms")}
         repeat = entry_doc.get("repeat", 1)
         interval = entry_doc.get("interval_ms", 0)
-        if not isinstance(repeat, int) or repeat < 1:
+        if type(repeat) is not int or repeat < 1:
             raise ConfigError("repeat must be a positive integer", entry_path)
+        if type(interval) is not int or interval < 0:
+            raise ConfigError("interval_ms must be a non-negative integer", entry_path)
         if kind == "sensor":
             edge = _req(data, "edge", entry_path, str)
-            if edge not in edge_ids:
+            if edge not in edge_agents:
                 raise ConfigError(f"unknown edge {edge!r}", entry_path)
             agent = _req(data, "agent", entry_path, str)
-            edge_cfg = next(e for e in edges if e.id == edge)
-            if agent not in {s.id for s in edge_cfg.agent_specs}:
+            if agent not in edge_agents[edge]:
                 raise ConfigError(f"unknown agent {agent!r} on edge {edge!r}", entry_path)
             _req(data, "sensor", entry_path, str)
             if "value" not in data:

@@ -5,21 +5,23 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import AtmosphereError
+from ..record import Record
 
 BUCKET_LABELS = ("<=5", "6-10", "11-50", "51-100", ">100")
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    round_trip_id: int
-    sent_at: int
-    received_at: int
-    qos: int
-    mode: str
+class MetricsRecord(Record):
+    __slots__ = ("round_trip_id", "sent_at", "received_at", "qos", "mode")
+
+    def __init__(self, round_trip_id: int, sent_at: int, received_at: int, qos: int, mode: str):
+        self.round_trip_id = round_trip_id
+        self.sent_at = sent_at
+        self.received_at = received_at
+        self.qos = qos
+        self.mode = mode
 
     @property
     def latency_ms(self) -> int:
@@ -83,23 +85,32 @@ class MetricsSink:
         return len(self._pending)
 
 
-@dataclass
 class RunReport:
-    scenario: str
-    mode: str
-    qos: int
-    clock: str
-    seed: int
-    duration_s: float
-    warmup_s: float
-    records: list = field(default_factory=list)
-    counters: dict = field(default_factory=dict)  # publish, puback, acl
-    round_trips: dict = field(default_factory=dict)  # initiated/completed/in_flight/dead_lettered
-    cpu_samples: list = field(default_factory=list)  # (t_ms, node_id, cpu_pct)
-    alerts: list = field(default_factory=list)
-    emissions: list = field(default_factory=list)
-    notifications: list = field(default_factory=list)
-    saturated: bool = False
+    __slots__ = ("scenario", "mode", "qos", "clock", "seed", "duration_s", "warmup_s", "records",
+                 "counters", "round_trips", "cpu_samples", "alerts", "emissions", "notifications",
+                 "saturated")
+
+    def __init__(self, scenario: str, mode: str, qos: int, clock: str, seed: int, duration_s: float,
+                 warmup_s: float, records: list | None = None, counters: dict | None = None,
+                 round_trips: dict | None = None, cpu_samples: list | None = None,
+                 alerts: list | None = None, emissions: list | None = None,
+                 notifications: list | None = None, saturated: bool = False):
+        self.scenario = scenario
+        self.mode = mode
+        self.qos = qos
+        self.clock = clock
+        self.seed = seed
+        self.duration_s = duration_s
+        self.warmup_s = warmup_s
+        self.records = [] if records is None else records
+        self.counters = {} if counters is None else counters  # publish, puback, acl
+        # initiated/completed/in_flight/dead_lettered
+        self.round_trips = {} if round_trips is None else round_trips
+        self.cpu_samples = [] if cpu_samples is None else cpu_samples  # (t_ms, node_id, cpu_pct)
+        self.alerts = [] if alerts is None else alerts
+        self.emissions = [] if emissions is None else emissions
+        self.notifications = [] if notifications is None else notifications
+        self.saturated = saturated
 
     def measured_records(self) -> list:
         cutoff = self.warmup_s * 1000.0

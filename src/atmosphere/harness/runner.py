@@ -40,13 +40,13 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, replace
 
 from ..agents import AclMessage, GatewayClient, GatewayServer, parse_agent_spec
 from ..errors import AtmosphereError, ConfigError
 from ..events import Event, encode_event
 from ..mqtt import Broker, MqttClient
 from ..nodes import CloudNode, EdgeNode, FogNode, UserNode, topics
+from ..record import Record
 from ..transport import LogicalClock, Loop, TcpServer, WallClock, connect_tcp, make_queue_pair
 from .config import RunDefaults, ScenarioConfig
 from .generators import EventFactory, emission_times_ms
@@ -62,27 +62,37 @@ SINK_SERVICE = "svc"
 TCP_HOST = "127.0.0.1"
 
 
-@dataclass
 class RunOverrides:
-    rate: float | None = None
-    qos: int | None = None
-    duration_s: float | None = None
-    mode: str | None = None
-    clock: str | None = None
-    seed: int | None = None
-    warmup_s: float | None = None
+    """Run settings that replace the scenario's where they are not None."""
+
+    __slots__ = ("rate", "qos", "duration_s", "mode", "clock", "seed", "warmup_s")
+
+    def __init__(self, rate: float | None = None, qos: int | None = None,
+                 duration_s: float | None = None, mode: str | None = None,
+                 clock: str | None = None, seed: int | None = None, warmup_s: float | None = None):
+        self.rate = rate
+        self.qos = qos
+        self.duration_s = duration_s
+        self.mode = mode
+        self.clock = clock
+        self.seed = seed
+        self.warmup_s = warmup_s
 
 
 def resolve_run(config: ScenarioConfig, overrides: RunOverrides | None) -> RunDefaults:
     """The scenario's run settings with the overrides that are set (all but ``rate``)."""
+    run = config.run
     if overrides is None:
-        return config.run
-    return replace(config.run, **{name: value for name, value in vars(overrides).items()
-                                  if value is not None and name != "rate"})
+        return run
+
+    def pick(name):
+        value = getattr(overrides, name)
+        return getattr(run, name) if value is None else value
+
+    return RunDefaults(*map(pick, RunDefaults.__slots__))
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(Record):
     """Which nodes of a deployment this process hosts.
 
     ``core`` is the broker, the gateways, the fog and cloud nodes, the user
@@ -91,9 +101,13 @@ class Placement:
     core's :attr:`Deployment.ports`.
     """
 
-    core: bool = True
-    edges: tuple[str, ...] | None = None
-    core_ports: dict | None = None
+    __slots__ = ("core", "edges", "core_ports")
+
+    def __init__(self, core: bool = True, edges: tuple[str, ...] | None = None,
+                 core_ports: dict | None = None):
+        self.core = core
+        self.edges = edges
+        self.core_ports = core_ports
 
     def hosts(self, edge_id: str) -> bool:
         return self.edges is None or edge_id in self.edges

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import AtmosphereError, MqttProtocolError
@@ -52,11 +51,13 @@ DEFAULT_MAX_RETRIES = 5
 ROUTE_CACHE_SIZE = 1024
 
 
-@dataclass
 class InflightEntry:
-    publish: Publish
-    last_sent_at: int
-    retry_count: int = 0
+    __slots__ = ("publish", "last_sent_at", "retry_count")
+
+    def __init__(self, publish: Publish, last_sent_at: int, retry_count: int = 0):
+        self.publish = publish
+        self.last_sent_at = last_sent_at
+        self.retry_count = retry_count
 
 
 class Inflight(dict):
@@ -115,16 +116,18 @@ class Inflight(dict):
         return min((entry.last_sent_at + retry_timeout_ms for entry in self.values()), default=None)
 
 
-@dataclass
 class Session:
     """Per-connection state; clean-session always, nothing survives a drop."""
 
-    client_id: str = ""
-    endpoint: Endpoint | None = None
-    connected: bool = False
-    subscriptions: list = field(default_factory=list)  # of (topic_filter, qos)
-    inflight: Inflight = field(default_factory=Inflight)
-    buffer: bytearray = field(default_factory=bytearray)
+    __slots__ = ("client_id", "endpoint", "connected", "subscriptions", "inflight", "buffer")
+
+    def __init__(self, endpoint: Endpoint | None = None):
+        self.client_id = ""
+        self.endpoint = endpoint
+        self.connected = False
+        self.subscriptions: list = []  # of (topic_filter, qos)
+        self.inflight = Inflight()
+        self.buffer = bytearray()
 
 
 class Broker:

@@ -6,16 +6,16 @@ UNSUBSCRIBE and persistent sessions are outside the subset and decode to an
 :class:`UnsupportedFeatureError`.
 
 Only :func:`decode_packet` checks a packet, since only it takes one from a
-peer: topic names, topic filters, QoS bits and packet ids. The dataclasses
-built in process are not re-checked.
+peer: topic names, topic filters, QoS bits and packet ids. The packet
+objects built in process are not re-checked.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
 from ..errors import MqttProtocolError, UnsupportedFeatureError
+from ..record import Record
 
 MAX_REMAINING_LENGTH = 268_435_455
 MAX_PACKET_ID = 0xFFFF
@@ -33,56 +33,66 @@ _UNSUPPORTED_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class Connect:
-    client_id: str
-    keep_alive_s: int = 60
+class Connect(Record):
+    __slots__ = ("client_id", "keep_alive_s")
+
+    def __init__(self, client_id: str, keep_alive_s: int = 60):
+        self.client_id = client_id
+        self.keep_alive_s = keep_alive_s
 
 
-@dataclass(frozen=True)
-class ConnAck:
-    return_code: int = 0
+class ConnAck(Record):
+    __slots__ = ("return_code",)
+
+    def __init__(self, return_code: int = 0):
+        self.return_code = return_code
 
 
-@dataclass(frozen=True)
-class Publish:
-    topic: str
-    payload: bytes
-    qos: int = 0
-    packet_id: int | None = None
-    dup: bool = False
+class Publish(Record):
+    __slots__ = ("topic", "payload", "qos", "packet_id", "dup")
+
+    def __init__(self, topic: str, payload: bytes, qos: int = 0, packet_id: int | None = None,
+                 dup: bool = False):
+        self.topic = topic
+        self.payload = payload
+        self.qos = qos
+        self.packet_id = packet_id
+        self.dup = dup
 
 
-@dataclass(frozen=True)
-class PubAck:
-    packet_id: int
+class PubAck(Record):
+    __slots__ = ("packet_id",)
+
+    def __init__(self, packet_id: int):
+        self.packet_id = packet_id
 
 
-@dataclass(frozen=True)
-class Subscribe:
-    packet_id: int
-    filters: tuple = field(default_factory=tuple)  # of (topic_filter, qos)
+class Subscribe(Record):
+    __slots__ = ("packet_id", "filters")
+
+    def __init__(self, packet_id: int, filters: tuple = ()):
+        self.packet_id = packet_id
+        self.filters = filters  # of (topic_filter, qos)
 
 
-@dataclass(frozen=True)
-class SubAck:
-    packet_id: int
-    granted: tuple = field(default_factory=tuple)
+class SubAck(Record):
+    __slots__ = ("packet_id", "granted")
+
+    def __init__(self, packet_id: int, granted: tuple = ()):
+        self.packet_id = packet_id
+        self.granted = granted
 
 
-@dataclass(frozen=True)
-class PingReq:
-    pass
+class PingReq(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PingResp:
-    pass
+class PingResp(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Disconnect:
-    pass
+class Disconnect(Record):
+    __slots__ = ()
 
 
 Packet = (

@@ -12,38 +12,45 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
 
 from ..errors import AtmosphereError
 from ..events import Event, SchemaRegistry, decode_event, encode_event
 from ..mqtt import MqttClient
 from ..patterns import PatternDef
+from ..record import Record
 from .host import EngineHost
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class TransformerSpec:
-    id: str
-    output_stream: str
-    kind: str = "map"  # map | passthrough
-    fields: tuple = ()  # of (source_path, canonical_field)
-    defaults: dict = field(default_factory=dict)
+class TransformerSpec(Record):
+    __slots__ = ("id", "output_stream", "kind", "fields", "defaults")
+
+    def __init__(self, id: str, output_stream: str, kind: str = "map", fields: tuple = (),
+                 defaults: dict | None = None):
+        self.id = id
+        self.output_stream = output_stream
+        self.kind = kind  # map | passthrough
+        self.fields = fields  # of (source_path, canonical_field)
+        self.defaults = {} if defaults is None else defaults
 
 
-@dataclass(frozen=True)
-class SinkSpec:
-    id: str
-    kind: str  # topic | notification
-    targets: tuple  # routing audiences served by this sink
-    topic: str | None = None
+class SinkSpec(Record):
+    __slots__ = ("id", "kind", "targets", "topic")
+
+    def __init__(self, id: str, kind: str, targets: tuple, topic: str | None = None):
+        self.id = id
+        self.kind = kind  # topic | notification
+        self.targets = targets  # routing audiences served by this sink
+        self.topic = topic
 
 
-@dataclass(frozen=True)
-class SourceSpec:
-    topic: str
-    transformer: str
+class SourceSpec(Record):
+    __slots__ = ("topic", "transformer")
+
+    def __init__(self, topic: str, transformer: str):
+        self.topic = topic
+        self.transformer = transformer
 
 
 def _walk_path(doc, path: str):

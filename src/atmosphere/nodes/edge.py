@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
-from dataclasses import dataclass
 
 from ..agents import (
     AclMessage,
@@ -34,10 +33,12 @@ from . import topics
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
 class _RuleUpdate:
-    agent_id: str
-    rule_doc: dict
+    __slots__ = ("agent_id", "rule_doc")
+
+    def __init__(self, agent_id: str, rule_doc: dict):
+        self.agent_id = agent_id
+        self.rule_doc = rule_doc
 
 
 class EdgeNode:

@@ -9,87 +9,107 @@ and ``insert into``. Anything else is rejected at parse time by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..errors import PatternSemanticError
 from ..events import IDENT_RE, FieldValue
+from ..record import Record
 
 TIME_UNITS_MS = {"seconds": 1000, "minutes": 60_000, "hours": 3_600_000}
 
 ROUTE_AUDIENCES = ("edge", "fog", "cloud", "user")
 
 
-@dataclass(frozen=True)
-class Duration:
-    magnitude: int
-    unit: str  # seconds | minutes | hours
+class Duration(Record):
+    __slots__ = ("magnitude", "unit")
+
+    def __init__(self, magnitude: int, unit: str):
+        self.magnitude = magnitude
+        self.unit = unit  # seconds | minutes | hours
 
     def to_ms(self) -> int:
         return self.magnitude * TIME_UNITS_MS[self.unit]
 
 
-@dataclass(frozen=True)
-class FieldPath:
-    alias: str
-    field: str
+class FieldPath(Record):
+    __slots__ = ("alias", "field")
+
+    def __init__(self, alias: str, field: str):
+        self.alias = alias
+        self.field = field
 
     def __str__(self) -> str:
         return f"{self.alias}.{self.field}"
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: FieldValue
+class Literal(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: FieldValue):
+        self.value = value
 
 
-@dataclass(frozen=True)
-class Predicate:
-    lhs: FieldPath
-    op: str  # = != < <= > >=
-    rhs: Literal | FieldPath
+class Predicate(Record):
+    __slots__ = ("lhs", "op", "rhs")
+
+    def __init__(self, lhs: FieldPath, op: str, rhs: Literal | FieldPath):
+        self.lhs = lhs
+        self.op = op  # = != < <= > >=
+        self.rhs = rhs
 
 
-@dataclass(frozen=True)
-class Binding:
-    alias: str
-    stream: str
-    predicates: tuple = ()
+class Binding(Record):
+    __slots__ = ("alias", "stream", "predicates")
+
+    def __init__(self, alias: str, stream: str, predicates: tuple = ()):
+        self.alias = alias
+        self.stream = stream
+        self.predicates = predicates
 
 
-@dataclass(frozen=True)
-class FieldRef:
-    path: FieldPath
-    as_name: str
+class FieldRef(Record):
+    __slots__ = ("path", "as_name")
+
+    def __init__(self, path: FieldPath, as_name: str):
+        self.path = path
+        self.as_name = as_name
 
 
-@dataclass(frozen=True)
-class CurrentTimestamp:
-    as_name: str
+class CurrentTimestamp(Record):
+    __slots__ = ("as_name",)
+
+    def __init__(self, as_name: str):
+        self.as_name = as_name
 
 
-@dataclass(frozen=True)
-class CountAgg:
-    path: FieldPath
-    as_name: str
+class CountAgg(Record):
+    __slots__ = ("path", "as_name")
+
+    def __init__(self, path: FieldPath, as_name: str):
+        self.path = path
+        self.as_name = as_name
 
 
-@dataclass(frozen=True)
-class StarOf:
-    alias: str
+class StarOf(Record):
+    __slots__ = ("alias",)
+
+    def __init__(self, alias: str):
+        self.alias = alias
 
 
 SelectItem = FieldRef | CurrentTimestamp | CountAgg | StarOf
 
 
-@dataclass(frozen=True)
-class PatternDef:
-    name: str
-    tags: dict
-    insert_into: str
-    select: tuple
-    bindings: tuple
-    window: Duration | None = None
-    group_by: tuple = ()
+class PatternDef(Record):
+    __slots__ = ("name", "tags", "insert_into", "select", "bindings", "window", "group_by")
+
+    def __init__(self, name: str, tags: dict, insert_into: str, select: tuple, bindings: tuple,
+                 window: Duration | None = None, group_by: tuple = ()):
+        self.name = name
+        self.tags = tags
+        self.insert_into = insert_into
+        self.select = select
+        self.bindings = bindings
+        self.window = window
+        self.group_by = group_by
 
     @property
     def target(self) -> str | None:

@@ -9,9 +9,8 @@ malformed raises :class:`PatternSyntaxError` with the source position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import PatternSyntaxError, UnsupportedFeatureError
+from ..record import Record
 from .model import (
     Binding,
     CountAgg,
@@ -41,12 +40,14 @@ _UNIT_ALIASES = {
 _UNSUPPORTED_TRAILING = ("where", "having", "output", "order", "limit")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | number | string | punct | eof
-    value: object
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: object, line: int, col: int):
+        self.kind = kind  # ident | number | string | punct | eof
+        self.value = value
+        self.line = line
+        self.col = col
 
     def is_kw(self, word: str) -> bool:
         return self.kind == "ident" and str(self.value).lower() == word

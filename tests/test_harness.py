@@ -9,7 +9,6 @@ import random
 import shutil
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -222,6 +221,31 @@ class TestLoadScenario:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=f"^{error_path}: "):
             load_scenario(path)
+
+    @staticmethod
+    def load_timeline(tmp_path, **entry):
+        """``checked_doc`` with one repeated sensor entry, changed by ``entry``."""
+        doc = TestLoadScenario.checked_doc()
+        doc["timeline"] = [dict({"at_ms": 10000, "kind": "sensor", "edge": "e1", "agent": "e1.a",
+                                 "sensor": "s", "value": 1, "repeat": 3, "interval_ms": 5}, **entry)]
+        path = tmp_path / "timeline.json"
+        path.write_text(json.dumps(doc))
+        return load_scenario(path)
+
+    def test_repeats_follow_at_the_interval(self, tmp_path):
+        timeline = self.load_timeline(tmp_path).timeline
+        assert [entry.at_ms for entry in timeline] == [10000, 10005, 10010]
+
+    @pytest.mark.parametrize("interval", ["5", -1000, 2.5, True])
+    def test_bad_interval_rejected(self, tmp_path, interval):
+        with pytest.raises(ConfigError, match="^/timeline/0: interval_ms must be a non-negative integer$"):
+            self.load_timeline(tmp_path, interval_ms=interval)
+
+    @pytest.mark.parametrize("key, message", [("at_ms", "at_ms must be a non-negative integer"),
+                                              ("repeat", "repeat must be a positive integer")])
+    def test_bool_at_ms_or_repeat_rejected(self, tmp_path, key, message):
+        with pytest.raises(ConfigError, match=f"^/timeline/0: {message}$"):
+            self.load_timeline(tmp_path, **{key: True})
 
     def test_every_scenario_and_perfbench_workload_loads(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
@@ -885,9 +909,9 @@ class TestProcessesMode:
         and the other edge's, so none may leave before the other has drained.
         Every placement, under either clock, counts the same."""
         config = bench_copy(tmp_path, 2)
-        overrides = RunOverrides(rate=50, duration_s=2, qos=1, mode="full", warmup_s=0,
-                                 clock="processing_time")
-        event_time = run_scenario(config, replace(overrides, clock="event_time"))
+        settings = dict(rate=50, duration_s=2, qos=1, mode="full", warmup_s=0)
+        overrides = RunOverrides(**settings, clock="processing_time")
+        event_time = run_scenario(config, RunOverrides(**settings, clock="event_time"))
         assert event_time.round_trips == {"initiated": 200, "completed": 200, "in_flight": 0,
                                           "dead_lettered": 0}
         assert event_time.counters == {"publish": 600, "puback": 600, "acl": 4}
