@@ -321,7 +321,7 @@ def parse_trigger(doc: dict, path: str) -> Trigger:
         return MessageTrigger(stream=_req_str(doc, "stream", path))
     if kind == "timer":
         period = doc.get("period_ms")
-        if not isinstance(period, int) or period <= 0:
+        if type(period) is not int or period <= 0:  # JSON true is a bool, not an int
             raise ConfigError("timer trigger needs a positive period_ms", path)
         return TimerTrigger(period_ms=period)
     raise ConfigError(f"unknown trigger kind {kind!r}", path)

@@ -3,10 +3,9 @@
 One engine hosts a DAG of deployed patterns. Ingesting an event advances the
 engine clock, first firing every tumbling-window boundary crossed, then
 routing the event; emissions cascade into downstream patterns within the same
-call. Without a wall clock (event time) the clock moves only with event
-timestamps and explicit :meth:`Engine.advance_clock` calls, which makes a
-replay of the same log byte-identical. Given one (processing time), the
-engine stamps arrivals with it, for live runs.
+call. The engine reads no clock: its time moves only with event timestamps,
+which its host decides, and :meth:`Engine.advance_clock` calls. An event behind
+it is refused, so a replay of the events it ingested is byte-identical.
 
 Instant ordering model
 ----------------------
@@ -338,14 +337,12 @@ class _Deployed:
 
 
 class Engine:
-    """Pattern host for one fog or cloud node; ``now_ms`` is its time, and
-    ``wall_clock``, when given, stamps each arrival (processing time)."""
+    """Pattern host for one fog or cloud node; ``now_ms`` is its time."""
 
-    def __init__(self, node_id: str, registry: SchemaRegistry, wall_clock=None):
+    def __init__(self, node_id: str, registry: SchemaRegistry):
         self.node_id = node_id
         self.registry = registry
         self.now_ms = 0
-        self._wall_clock = wall_clock
         self._deployed: list[_Deployed] = []
         self._by_name: dict[str, _Deployed] = {}
         self._consumers: dict[str, list[_Deployed]] = {}
@@ -439,14 +436,9 @@ class Engine:
         """Apply one event; returns the cascade of emissions it produced."""
         if event.stream not in self.registry:
             raise UnknownStreamError(event.stream)
-        if self._wall_clock is None:
-            ts = event.timestamp
-            if ts < self.now_ms:
-                raise TimeRegressionError(
-                    f"event at {ts} behind engine clock {self.now_ms}"
-                )
-        else:
-            ts = max(self.now_ms, self._wall_clock())
+        ts = event.timestamp
+        if ts < self.now_ms:
+            raise TimeRegressionError(f"event at {ts} behind engine clock {self.now_ms}")
         self._ingest_count += 1
         out: list[Emission] = []
         self._advance_to(ts, out)

@@ -155,6 +155,13 @@ def _req(doc: dict, key: str, path: str, kind=None):
     return value
 
 
+def _number(doc: dict, key: str, default, path: str, kind=(int, float)):
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):  # JSON true is a bool, not a number
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}", f"{path}/{key}")
+    return value
+
+
 def _parse_schemas(doc: dict, path: str) -> list[EventSchema]:
     schemas = []
     for stream, fields in doc.items():
@@ -419,7 +426,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
                 stream=stream,
                 rate=float(rate),
                 generators=generators,
-                seed=int(sim_doc.get("seed", 0)),
+                seed=_number(sim_doc, "seed", 0, sim_path, int),
             )
         )
 
@@ -474,12 +481,12 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if qos not in (0, 1):
         raise ConfigError("qos must be 0 or 1", "/run/qos")
     run = RunDefaults(
-        duration_s=float(run_doc.get("duration_s", 10.0)),
+        duration_s=float(_number(run_doc, "duration_s", 10.0, "/run")),
         qos=qos,
         mode=mode,
         clock=clock,
-        seed=int(run_doc.get("seed", 0)),
-        warmup_s=float(run_doc.get("warmup_s", 10.0)),
+        seed=_number(run_doc, "seed", 0, "/run", int),
+        warmup_s=float(_number(run_doc, "warmup_s", 10.0, "/run")),
     )
 
     config = ScenarioConfig(

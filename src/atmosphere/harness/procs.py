@@ -152,7 +152,7 @@ def _receive(pipes: dict, awaited: list, timeout_s: float, last: bool = False) -
             if pipes[proc] in ready:
                 try:
                     messages[proc] = pipes[proc].recv()
-                except EOFError:  # it ended without sending
+                except (EOFError, OSError):  # it ended without sending; a reset pipe raises OSError
                     pass
         ended = [proc for proc in live if (pipes[proc] in ready and proc not in messages)
                  or (proc.sentinel in ready and not (last and proc in messages))]

@@ -144,7 +144,6 @@ class Deployment:
         self._flagged: list[EdgeNode] = []  # edges flagged since the last pump, see pump_edges
         # under tcp, where the core serves: {"broker": port, "gateways": {fog: port}}
         self.ports = placement.core_ports
-        wall = None if isinstance(clock, LogicalClock) else clock  # the engines stamp arrivals with it
 
         self.broker: Broker | None = None
         self.gateways: dict[str, GatewayServer] = {}
@@ -179,9 +178,9 @@ class Deployment:
                         self.broker,
                         self.registry,
                         list(fog_cfg.patterns),
+                        clock,
                         extra_inputs=fog_cfg.extra_inputs,
                         qos=run.qos,
-                        wall_clock=wall,
                     )
             for cloud_cfg in config.clouds:
                 if not with_cep:
@@ -193,9 +192,8 @@ class Deployment:
                     sources=list(cloud_cfg.sources),
                     transformers=list(cloud_cfg.transformers),
                     sinks=list(cloud_cfg.sinks),
-                    qos=run.qos,
                     clock=clock,
-                    wall_clock=wall,
+                    qos=run.qos,
                 )
                 cloud.attach(self._mqtt_client(cloud_cfg.id))
                 self.clouds[cloud_cfg.id] = cloud
@@ -269,7 +267,7 @@ class Deployment:
     def pump_edges(self) -> int:
         """Pump the edges flagged since the last pump (``on_work``), in config
         order; the stimuli processed. An unflagged edge has empty mailboxes,
-        and a pump's sends wait on the loop, so one pass leaves none flagged."""
+        and a pump empties its edge's in one pass, so none is left flagged."""
         flagged = self._flagged
         edges = flagged[:] if len(flagged) < 2 else [e for e in self.edges.values() if e.has_work]
         flagged.clear()

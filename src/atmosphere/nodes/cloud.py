@@ -71,13 +71,11 @@ class CloudNode(EngineHost):
         sources: list[SourceSpec],
         transformers: list[TransformerSpec],
         sinks: list[SinkSpec],
+        clock,
         qos: int = 0,
-        clock=None,
-        wall_clock=None,
     ):
-        super().__init__(node_id, registry, wall_clock)
+        super().__init__(node_id, registry, clock)
         self.qos = qos
-        self._clock = clock or (lambda: 0)
         self.transformers = {t.id: t for t in transformers}
         self.sources = {s.topic: s for s in sources}
         self._sink_by_target = {target: sink for sink in sinks for target in sink.targets}
@@ -101,7 +99,7 @@ class CloudNode(EngineHost):
         transformer = self.transformers[source.transformer]
         try:
             event = self._transform(transformer, payload)
-            emissions = self.engine.ingest(event)
+            emissions = self.engine.ingest(self._stamp(event))
         except AtmosphereError as exc:
             self._dead_letter(f"{transformer.id}: {exc}", payload)
             return

@@ -74,8 +74,8 @@ class EdgeNode:
         self._timer_next: dict[tuple[str, str], int] = {}
         self._timer_count: dict[tuple[str, str], int] = {}
         self._consumers = self._index_consumers()
-        # Set after every mailbox append, cleared when ``pump`` starts, so a
-        # driver can skip edges with nothing to do.
+        # Set after every mailbox append, cleared when ``pump`` starts: a pump
+        # empties every mailbox, so a driver skips an edge whose flag is clear.
         self.has_work = False
 
     # -- attachments -----------------------------------------------------------
@@ -204,23 +204,19 @@ class EdgeNode:
         self.has_work = True
 
     def pump(self) -> int:
-        """Drain mailboxes serially (agents in declaration order); returns the
-        number of stimuli processed."""
+        """Drain every mailbox in one pass, agents in declaration order, each
+        serially (a step's sends wait on the loop); the stimuli processed."""
         self.has_work = False
         processed = 0
-        progress = True
-        while progress:
-            progress = False
-            for agent_id, agent in self.agents.items():
-                mailbox = self.mailboxes[agent_id]
-                while mailbox:
-                    item = mailbox.popleft()
-                    processed += 1
-                    progress = True
-                    if isinstance(item, _RuleUpdate):
-                        self._apply_rule_update(agent, item.rule_doc)
-                        continue
-                    self._execute(agent, agent.step(item))
+        for agent_id, agent in self.agents.items():
+            mailbox = self.mailboxes[agent_id]
+            while mailbox:
+                item = mailbox.popleft()
+                processed += 1
+                if isinstance(item, _RuleUpdate):
+                    self._apply_rule_update(agent, item.rule_doc)
+                    continue
+                self._execute(agent, agent.step(item))
         return processed
 
     def _apply_rule_update(self, agent: Agent, rule_doc: dict) -> None:

@@ -25,11 +25,11 @@ class FogNode(EngineHost):
         broker: Broker,
         registry: SchemaRegistry,
         patterns: list[PatternDef],
+        clock,
         extra_inputs: tuple = (),
         qos: int = 0,
-        wall_clock=None,
     ):
-        super().__init__(node_id, registry, wall_clock)
+        super().__init__(node_id, registry, clock)
         self.broker = broker
         self.qos = qos
         for pattern in patterns:
@@ -45,7 +45,7 @@ class FogNode(EngineHost):
             self._dead_letter(f"decode failed on {topic}: {exc}", payload)
             return
         try:
-            emissions = self.engine.ingest(event)
+            emissions = self.engine.ingest(self._stamp(event))
         except AtmosphereError as exc:
             self._dead_letter(f"ingest failed on {topic}: {exc}", payload)
             return

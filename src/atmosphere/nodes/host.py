@@ -1,4 +1,4 @@
-"""What the fog and cloud nodes share: hosting one CEP engine."""
+"""What the fog and cloud nodes share: hosting one CEP engine, and stamping its arrivals."""
 
 from __future__ import annotations
 
@@ -6,19 +6,21 @@ import logging
 
 from ..cep import Engine
 from ..errors import AtmosphereError
-from ..events import SchemaRegistry
+from ..events import Event, SchemaRegistry
+from ..transport import LogicalClock
 
 logger = logging.getLogger(__name__)
 
 
 class EngineHost:
-    """A node that runs one CEP engine; each subclass routes its emissions
-    in ``_route``."""
+    """A node that runs one CEP engine on the run's ``clock`` (a
+    :class:`LogicalClock` in event time); subclasses route emissions in ``_route``."""
 
-    def __init__(self, node_id: str, registry: SchemaRegistry, wall_clock):
+    def __init__(self, node_id: str, registry: SchemaRegistry, clock):
         self.node_id = node_id
         self.registry = registry
-        self.engine = Engine(node_id, registry, wall_clock=wall_clock)
+        self._clock = clock
+        self.engine = Engine(node_id, registry)
         self.dead_letters: list[tuple[str, str]] = []
         self.emission_log: list = []
         self.routed_count = 0
@@ -27,9 +29,15 @@ class EngineHost:
     def ingest_count(self) -> int:
         return self.engine.ingest_count
 
+    def _stamp(self, event: Event) -> Event:
+        """``event``, in processing time stamped with its arrival, never behind the engine."""
+        if not isinstance(self._clock, LogicalClock):
+            event.timestamp = max(self.engine.now_ms, self._clock())
+        return event
+
     def advance(self, to_ms: int) -> None:
-        # a wall-clock reading captured before an ingest stamped a newer
-        # time must not read as a regression
+        # a clock reading captured before an ingest stamped a newer time
+        # must not read as a regression
         to_ms = max(to_ms, self.engine.now_ms)
         try:
             emissions = self.engine.advance_clock(to_ms)

@@ -293,35 +293,6 @@ class TestClock:
         assert engine.ingest_count == 2
 
 
-class TestProcessingTimeMode:
-    def test_arrivals_stamped_with_wall_clock_and_batches_fire_on_advance(self):
-        wall = [5_000]
-        engine = Engine(
-            "f1", base_registry(), wall_clock=lambda: wall[0]
-        )
-        engine.deploy(parse_pattern(LISTING_TEXTS["ExternalLightByFloor"]))
-        # the event's own timestamp is ignored for windowing in this mode
-        engine.ingest(ext_light(999_999_999, floor=1))
-        assert engine.now_ms == 5_000
-        wall[0] = 90_000
-        engine.ingest(ext_light(0, floor=1))
-        wall[0] = 11 * MINUTE
-        out = engine.advance_clock(wall[0])
-        assert [e.event.fields["count"] for e in out] == [2]
-        assert out[0].event.timestamp == 10 * MINUTE
-
-    def test_wall_clock_never_regresses_engine_time(self):
-        wall = [10_000]
-        engine = Engine(
-            "f1", base_registry(), wall_clock=lambda: wall[0]
-        )
-        engine.deploy(parse_pattern(LISTING_TEXTS["ExternalLightByFloor"]))
-        engine.ingest(ext_light(0))
-        wall[0] = 4_000  # a stale reading must not move the clock backwards
-        engine.ingest(ext_light(0))
-        assert engine.now_ms == 10_000
-
-
 class TestDeterminism:
     def _run(self):
         engine = make_engine(LISTING_ORDER)

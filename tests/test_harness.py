@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import random
 import shutil
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from atmosphere.cep import Engine, oracle_replay
 from atmosphere.cli import main as cli_main
 from atmosphere.errors import AtmosphereError, ConfigError
 from atmosphere.harness import (
@@ -22,6 +24,7 @@ from atmosphere.harness import (
     load_scenario,
     run_scenario,
 )
+from atmosphere.harness import procs
 from atmosphere.harness import runner as runner_mod
 from atmosphere.harness.generators import emission_times_ms
 from atmosphere.mqtt import Broker, MqttClient
@@ -185,8 +188,9 @@ class TestLoadScenario:
                                             "stream": "S", "fields": {"rid": 1}}]}],
                 }]}],
             },
-            "simulators": [{"edge": "e1", "stream": "S", "rate": 1,
+            "simulators": [{"edge": "e1", "stream": "S", "rate": 1, "seed": 1,
                             "fields": {"rid": {"kind": "sequence"}}}],
+            "run": {"duration_s": 1, "warmup_s": 0.5, "seed": 1},
         }
 
     def test_checked_doc_loads(self, tmp_path):
@@ -205,6 +209,13 @@ class TestLoadScenario:
         ("/topology/clouds/0/sinks/1/targets", ["cloud", "fog"], "/topology/clouds/0/sinks/1/targets"),
         ("/schemas/S/rid", "number", "/simulators/0/fields/rid"),
         ("/topology/fogs/0/patterns", ["no_target.epl"], "/topology/fogs/0/patterns"),
+        ("/topology/edges/0/agents/0/rules/0/trigger", {"kind": "timer", "period_ms": True},
+         "/topology/edges/0/agents/0/rules/0/trigger"),
+        *((f"/{where}", value, f"/{where}")
+          for where in ("simulators/0/seed", "run/seed", "run/duration_s", "run/warmup_s")
+          for value in ("abc", True)),
+        ("/simulators/0/seed", 2.7, "/simulators/0/seed"),
+        ("/run/seed", 2.7, "/run/seed"),
     ])
     def test_bad_input_rejected_at_its_path(self, tmp_path, where, value, error_path):
         (tmp_path / "no_target.epl").write_text(
@@ -786,6 +797,101 @@ class TestOneClock:
         assert report.round_trips == plain.round_trips
 
 
+# A 1 s batch by floor, sent on to the cloud; a 1 s same-floor conjunction;
+# and a filter on the batch. The cloud counts the batch's rows each second.
+WINDOWED_FOG = """
+@Name("ByFloor") @Tag(name="domainName", value="fog") @Tag(name="target", value="cloud")
+insert into ByFloor select current_timestamp() as timestamp, a1.floor as floor, count(a1.isOn) as count
+from pattern [(every a1 = ExternalLight(a1.isOn = true))].win:time_batch(1 seconds)
+group by a1.floor
+
+@Name("Pairs") @Tag(name="domainName", value="fog") @Tag(name="target", value="fog")
+insert into Pairs select a1.rid as on_rid, a2.rid as off_rid
+from pattern [(every (a1 = ExternalLight(a1.isOn = true)
+  and a2 = ExternalLight(a2.isOn = false and a2.floor = a1.floor)))].win:time_batch(1 seconds)
+
+@Name("Busy") @Tag(name="domainName", value="fog") @Tag(name="target", value="fog")
+insert into Busy select a1.* from pattern [(every a1 = ByFloor(a1.count >= 5))]
+"""
+WINDOWED_CLOUD = """
+@Name("Floors") @Tag(name="domainName", value="cloud") @Tag(name="target", value="cloud")
+insert into Floors select count(a1.floor) as floors
+from pattern [(every a1 = ByFloor)].win:time_batch(1 seconds)
+group by a1.count
+"""
+
+
+class TestProcessingTimeReplay:
+    """In processing time, each host stamps its arrivals onto the events, so
+    the events an engine ingested are a log the oracle replays to the
+    engine's emissions exactly."""
+
+    @pytest.fixture()
+    def journal(self, monkeypatch) -> dict:
+        """``{engine: [events ingested, the last time advanced to]}``,
+        recorded by wrapping the engine from outside."""
+        journal = {}
+        ingest, advance_clock = Engine.ingest, Engine.advance_clock
+
+        def recorded_ingest(engine, event):
+            out = ingest(engine, event)
+            journal.setdefault(engine, [[], 0])[0].append(event)
+            return out
+
+        def recorded_advance_clock(engine, to_ms):
+            out = advance_clock(engine, to_ms)
+            journal.setdefault(engine, [[], 0])[1] = to_ms
+            return out
+
+        monkeypatch.setattr(Engine, "ingest", recorded_ingest)
+        monkeypatch.setattr(Engine, "advance_clock", recorded_advance_clock)
+        return journal
+
+    @staticmethod
+    def windowed(tmp_path):
+        doc = json.loads((SCENARIOS / "bench.json").read_text("utf-8"))
+        (tmp_path / "fog.epl").write_text(WINDOWED_FOG)
+        (tmp_path / "cloud.epl").write_text(WINDOWED_CLOUD)
+        topology = doc["topology"]
+        topology["fogs"][0]["patterns"] = [str(SCENARIOS / "patterns" / "bench_echo.epl"), "fog.epl"]
+        topology["clouds"] = [{
+            "id": "c1",
+            "patterns": ["cloud.epl"],
+            "sources": [{"topic": "f1/out/cloud", "transformer": "byfloor"}],
+            "transformers": [{"id": "byfloor", "kind": "passthrough", "output_stream": "ByFloor"}],
+            "sinks": [{"id": "notes", "kind": "notification", "targets": ["cloud"]}],
+        }]
+        doc["simulators"][0]["rate"] = 100
+        path = tmp_path / "windowed.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return load_scenario(path)
+
+    @staticmethod
+    def rows(emissions) -> list:
+        return [(e.order_key, e.produced_by, e.target_tag, e.event) for e in emissions]
+
+    @pytest.mark.parametrize("scenario", ["bench", "windowed"])
+    def test_each_engine_equals_the_oracle_on_what_it_ingested(self, tmp_path, journal, scenario):
+        config = self.windowed(tmp_path) if scenario == "windowed" else load_scenario(
+            SCENARIOS / "bench.json")
+        run = runner_mod.resolve_run(config, RunOverrides(
+            duration_s=2, qos=1, mode="full", clock="processing_time", warmup_s=0))
+        deployment = runner_mod.Deployment(config, run)
+        report = runner_mod.drive(deployment, None)
+        assert report.round_trips["completed"] == report.round_trips["initiated"] > 0
+        hosts = [*deployment.fogs.values(), *deployment.clouds.values()]
+        for host in hosts:
+            log, horizon = journal[host.engine]
+            assert host.dead_letters == [] and len(log) == host.ingest_count
+            replay = oracle_replay(host.engine.deployed_patterns(), config.build_registry(),
+                                   log, horizon, node_id=host.node_id)
+            assert host.emission_log
+            assert self.rows(host.emission_log) == self.rows(replay)
+        if scenario == "windowed":  # every pattern emitted, at a boundary where windowed
+            produced = {e.produced_by for host in hosts for e in host.emission_log}
+            assert produced == {"EchoExternalLight", "ByFloor", "Pairs", "Busy", "Floors"}
+
+
 class TestTierSeparation:
     def test_edges_touch_only_their_fog_topics(self, hospital):
         from atmosphere.harness.runner import Deployment, resolve_run
@@ -964,6 +1070,34 @@ class TestProcessesMode:
                                       clock="processing_time"),
                          processes=True)
         assert time.monotonic() - started < 5
+
+    def test_a_reset_pipe_is_a_lost_process(self):
+        """A pipe read whose peer closed with our write unread raises
+        ``ConnectionResetError``, not ``EOFError``: the process is lost all
+        the same."""
+        ours, theirs = multiprocessing.Pipe()
+        theirs.send("drained")  # readable, so that the wait returns it
+
+        class ResetPipe:
+            fileno = ours.fileno
+
+            def recv(self):
+                raise ConnectionResetError(104, "Connection reset by peer")
+
+        class Ended:
+            sentinel = theirs.fileno()  # never readable
+
+            def join(self):
+                pass
+
+        proc = Ended()
+        try:
+            with pytest.raises(procs._Lost) as lost:
+                procs._receive({proc: ResetPipe()}, [proc], 5.0, last=True)
+        finally:
+            ours.close()
+            theirs.close()
+        assert lost.value.args[0] == [proc]
 
     def test_event_time_with_processes_rejected(self, bench):
         with pytest.raises(ConfigError):

@@ -91,7 +91,7 @@ class TestFogRouting:
         broker = Broker()
         fog = FogNode(
             "f1", broker, registry,
-            [parse_pattern(LIGHT_BATCH), parse_pattern(SURVEILLANCE)],
+            [parse_pattern(LIGHT_BATCH), parse_pattern(SURVEILLANCE)], loop.clock,
         )
         _, user_inbox = subscriber(broker, "u", topics.user_topic("f1"), loop)
         _, fog_out_inbox = subscriber(broker, "peer", topics.fog_output("f1", "fog"), loop)
@@ -112,7 +112,7 @@ class TestFogRouting:
     def test_cloud_target_routes_to_cloud_output(self, loop):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}))
         broker = Broker()
-        fog = FogNode("f1", broker, registry, [parse_pattern(TO_CLOUD_PATTERN)])
+        fog = FogNode("f1", broker, registry, [parse_pattern(TO_CLOUD_PATTERN)], loop.clock)
         _, cloud_inbox = subscriber(broker, "c1", topics.fog_output("f1", "cloud"), loop)
         publisher = attach_client(broker, "edge", loop)
         event = Event("Ping", {"n": 1}, 5, "e1")
@@ -124,7 +124,7 @@ class TestFogRouting:
     def test_malformed_payload_dead_letters_without_crash(self, loop):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}))
         broker = Broker()
-        fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)])
+        fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)], loop.clock)
         publisher = attach_client(broker, "edge", loop)
         publisher.publish(topics.fog_input("f1"), b"{broken")
         settle(loop)
@@ -137,7 +137,7 @@ class TestFogRouting:
     def test_peer_fog_input_processed_like_edge_input(self, loop):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}))
         broker = Broker()
-        fog = FogNode("f2", broker, registry, [parse_pattern(ECHO_PATTERN)])
+        fog = FogNode("f2", broker, registry, [parse_pattern(ECHO_PATTERN)], loop.clock)
         _, edge_inbox = subscriber(broker, "edge", topics.fog_output("f2", "edge"), loop)
         peer = attach_client(broker, "f1-client", loop)
         event = Event("Ping", {"n": 7}, 10, "f1")
@@ -151,7 +151,7 @@ class TestFogRouting:
             EventSchema("ExternalLight", {"isOn": "boolean", "floor": "integer"})
         )
         broker = Broker()
-        fog = FogNode("f1", broker, registry, [parse_pattern(LIGHT_BATCH)])
+        fog = FogNode("f1", broker, registry, [parse_pattern(LIGHT_BATCH)], loop.clock)
         publisher = attach_client(broker, "edge", loop)
         event = Event("ExternalLight", {"isOn": True, "floor": 1}, 700_000, "e1")
         publisher.publish(topics.fog_input("f1"), encode_event(event, registry))
@@ -166,7 +166,8 @@ class TestFogRouting:
             EventSchema("ExternalLight", {"isOn": "boolean", "floor": "integer"})
         )
         broker = Broker()
-        fog = FogNode("f1", broker, registry, [parse_pattern(p) for p in NULL_FLOOR_PATTERNS])
+        patterns = [parse_pattern(p) for p in NULL_FLOOR_PATTERNS]
+        fog = FogNode("f1", broker, registry, patterns, loop.clock)
         _, fog_out_inbox = subscriber(broker, "peer", topics.fog_output("f1", "fog"), loop)
         publisher = attach_client(broker, "edge", loop)
 
@@ -194,7 +195,7 @@ class TestFogRouting:
         registry = registry_with(EventSchema("Ping", {"n": "integer"}))
         broker = Broker()
         fog = FogNode(
-            "f1", broker, registry, [parse_pattern(ECHO_PATTERN)],
+            "f1", broker, registry, [parse_pattern(ECHO_PATTERN)], loop.clock,
             extra_inputs=(topics.cloud_fog_output("c1"),),
         )
         cloud = attach_client(broker, "c1", loop)
@@ -204,15 +205,71 @@ class TestFogRouting:
         assert fog.ingest_count == 1
 
 
+class TestArrivalStamp:
+    """The host decides the time each arrival enters its engine at, and puts
+    it on the event: its own in event time, the clock's in processing time."""
+
+    def build(self, loop, clock):
+        registry = registry_with(
+            EventSchema("ExternalLight", {"isOn": "boolean", "floor": "integer"})
+        )
+        broker = Broker()
+        fog = FogNode("f1", broker, registry, [parse_pattern(LIGHT_BATCH)], clock)
+        ingested = []
+        ingest = fog.engine.ingest
+        fog.engine.ingest = lambda event: ingested.append(event) or ingest(event)
+        publisher = attach_client(broker, "edge", loop)
+
+        def send(ts):
+            event = Event("ExternalLight", {"isOn": True, "floor": 1}, ts, "e1")
+            publisher.publish(topics.fog_input("f1"), encode_event(event, registry))
+            settle(loop)
+
+        return fog, ingested, send
+
+    def test_arrivals_stamped_with_the_clock_and_batches_fire_on_advance(self, loop):
+        wall = [5_000]
+        fog, ingested, send = self.build(loop, lambda: wall[0])
+        send(999_999_999)  # the event's own timestamp is replaced
+        wall[0] = 90_000
+        send(0)
+        assert [event.timestamp for event in ingested] == [5_000, 90_000]
+        assert fog.engine.now_ms == 90_000
+        fog.advance(11 * MINUTE)
+        [emission] = fog.emission_log
+        assert emission.event.fields["count"] == 2
+        assert emission.event.timestamp == 10 * MINUTE
+
+    def test_a_stale_reading_never_regresses_the_engine(self, loop):
+        wall = [10_000]
+        fog, ingested, send = self.build(loop, lambda: wall[0])
+        send(0)
+        wall[0] = 4_000  # a stale reading must not move the clock backwards
+        send(0)
+        assert [event.timestamp for event in ingested] == [10_000, 10_000]
+        assert fog.engine.now_ms == 10_000
+        assert fog.dead_letters == []
+
+    def test_event_time_keeps_the_events_own_timestamp(self, loop):
+        fog, ingested, send = self.build(loop, loop.clock)
+        send(700_000)
+        send(0)  # behind the engine clock: refused, not restamped
+        assert [event.timestamp for event in ingested] == [700_000, 0]
+        assert fog.ingest_count == 1
+        assert fog.dead_letters[0][0] == (
+            f"ingest failed on {topics.fog_input('f1')}: event at 0 behind engine clock 700000"
+        )
+
+
 class TestUserBridge:
-    def make_fog(self):
+    def make_fog(self, loop):
         registry = registry_with(EventSchema("Ping", {"n": "integer"}), EventSchema("Notice", {"text": "string"}))
         broker = Broker()
-        fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)])
+        fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)], loop.clock)
         return registry, broker, fog
 
     def test_user_topic_never_reaches_the_engine(self, loop):
-        registry, broker, fog = self.make_fog()
+        registry, broker, fog = self.make_fog(loop)
         user = UserNode("u", "f1", registry)
         user.attach(attach_client(broker, "u", loop))
         edge = attach_client(broker, "edge", loop)
@@ -225,7 +282,7 @@ class TestUserBridge:
         assert len(user.alerts) == 100
 
     def test_rule_update_reaches_edge_and_flips_behavior(self, loop):
-        registry, broker, fog = self.make_fog()
+        registry, broker, fog = self.make_fog(loop)
         spec = parse_agent_spec(
             {
                 "id": "e1.light",
@@ -261,7 +318,7 @@ class TestUserBridge:
         assert user.alerts == []
 
     def test_rule_update_failing_the_spec_check_is_dead_lettered(self, loop):
-        registry, broker, fog = self.make_fog()
+        registry, broker, fog = self.make_fog(loop)
         spec = parse_agent_spec(
             {
                 "id": "e1.light",
@@ -292,7 +349,7 @@ class TestUserBridge:
 
 
 class TestCloudNode:
-    def build(self, loop, with_hospital_patterns=False):
+    def build(self, loop, with_hospital_patterns=False, clock=None):
         schemas = [
             EventSchema("Medicine", {"id": "string", "type": "string", "place": "string"}),
         ]
@@ -309,7 +366,6 @@ class TestCloudNode:
                     % ("fog" if name == "MedicineStockBreak" else "cloud"),
                 )
                 patterns.append(parse_pattern(text))
-        clock_value = [0]
         cloud = CloudNode(
             "c1",
             registry,
@@ -331,15 +387,15 @@ class TestCloudNode:
                 SinkSpec(id="to-fog", kind="topic", targets=("fog",), topic=topics.cloud_fog_output("c1")),
                 SinkSpec(id="notify", kind="notification", targets=("cloud",)),
             ],
-            clock=lambda: clock_value[0],
+            clock=loop.clock if clock is None else clock,
         )
         cloud.attach(attach_client(broker, "c1", loop))
-        return registry, broker, cloud, clock_value
+        return registry, broker, cloud
 
     def test_raw_mapping_with_defaults(self, loop):
-        registry, broker, cloud, clock_value = self.build(loop)
+        registry, broker, cloud = self.build(loop)
         feeder = attach_client(broker, "lab", loop)
-        clock_value[0] = 1234
+        loop.clock.set(1234)
         feeder.publish(
             topics.cloud_source("c1", "laboratory"),
             json.dumps({"medId": "m1", "site": "laboratory"}).encode(),
@@ -348,8 +404,20 @@ class TestCloudNode:
         assert cloud.ingest_count == 1
         assert cloud.dead_letters == []
 
+    def test_processing_time_stamps_each_source_event_with_its_arrival(self, loop):
+        wall = [5_000]
+        registry, broker, cloud = self.build(loop, clock=lambda: wall[0])
+        feeder = attach_client(broker, "lab", loop)
+        for at in (5_000, 3_000):  # the second reading is stale
+            wall[0] = at
+            feeder.publish(topics.cloud_source("c1", "laboratory"),
+                           json.dumps({"medId": "m1", "site": "laboratory"}).encode())
+            settle(loop)
+        assert cloud.ingest_count == 2 and cloud.dead_letters == []
+        assert cloud.engine.now_ms == 5_000
+
     def test_missing_source_path_dead_letters_with_transformer_id(self, loop):
-        registry, broker, cloud, _ = self.build(loop)
+        registry, broker, cloud = self.build(loop)
         feeder = attach_client(broker, "lab", loop)
         feeder.publish(
             topics.cloud_source("c1", "laboratory"),
@@ -361,12 +429,12 @@ class TestCloudNode:
         assert "medicine_raw" in cloud.dead_letters[0][0]
 
     def test_stock_break_reaches_fog_sink_and_notifications_recorded(self, loop):
-        registry, broker, cloud, clock_value = self.build(loop, with_hospital_patterns=True)
+        registry, broker, cloud = self.build(loop, with_hospital_patterns=True)
         _, fog_inbox = subscriber(broker, "f1", topics.cloud_fog_output("c1"), loop)
         feeder = attach_client(broker, "src", loop)
 
         def send(source, doc, at):
-            clock_value[0] = at
+            loop.clock.set(at)
             feeder.publish(topics.cloud_source("c1", source), json.dumps(doc).encode())
             settle(loop)
 
@@ -395,7 +463,7 @@ class TestEdgeNode:
             EventSchema("ExternalLight", {"isOn": "boolean", "floor": "integer"}),
         )
         broker = Broker()
-        fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)])
+        fog = FogNode("f1", broker, registry, [parse_pattern(ECHO_PATTERN)], loop.clock)
         gateway = GatewayServer()
         if specs is None:
             specs = [
